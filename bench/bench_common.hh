@@ -12,8 +12,10 @@
 #ifndef MEMSENSE_BENCH_BENCH_COMMON_HH
 #define MEMSENSE_BENCH_BENCH_COMMON_HH
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -197,6 +199,27 @@ stringArg(int argc, char **argv, const std::string &flag)
     return "";
 }
 
+/** True when @p flag appears as `--flag`, `--flag VALUE` or `--flag=VALUE`. */
+inline bool
+hasFlag(int argc, char **argv, const std::string &flag)
+{
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == flag || arg.rfind(flag + "=", 0) == 0)
+            return true;
+    }
+    return false;
+}
+
+/** Bad command line: one-line error on stderr, exit 2, no work done. */
+[[noreturn]] inline void
+flagError(const std::string &message)
+{
+    std::fprintf(stderr, "%s: %s\n", experimentId().c_str(),
+                 message.c_str());
+    std::exit(2);
+}
+
 /**
  * Fault-tolerance settings from the standard bench flags:
  *
@@ -205,21 +228,33 @@ stringArg(int argc, char **argv, const std::string &flag)
  *   --checkpoint PATH   append-only journal; rerun with the same PATH
  *                       (and the same sweep settings) to resume
  *
- * All default off: resilienceArgs(...).enabled() is false when none
- * of the flags were passed, and the drivers then keep the strict
- * first-error-aborts behavior.
+ * All default off, which keeps the strict first-error-aborts behavior
+ * of the measure/ sweeps. A malformed value exits 2 (flagError()).
  */
 inline measure::ResilienceConfig
 resilienceArgs(int argc, char **argv)
 {
     measure::ResilienceConfig rc;
-    const std::string retries = stringArg(argc, argv, "--max-retries");
-    if (!retries.empty())
-        rc.maxRetries = std::atoi(retries.c_str());
-    const std::string timeout = stringArg(argc, argv, "--job-timeout-ms");
-    if (!timeout.empty())
-        rc.jobTimeoutMs = std::atof(timeout.c_str());
+    if (hasFlag(argc, argv, "--max-retries")) {
+        const std::string text = stringArg(argc, argv, "--max-retries");
+        if (text.empty() || text.size() > 4 ||
+            text.find_first_not_of("0123456789") != std::string::npos)
+            flagError("--max-retries needs a whole number up to 9999, "
+                      "got '" + text + "'");
+        rc.maxRetries = std::stoi(text);
+    }
+    if (hasFlag(argc, argv, "--job-timeout-ms")) {
+        const std::string text = stringArg(argc, argv, "--job-timeout-ms");
+        char *end = nullptr;
+        rc.jobTimeoutMs = std::strtod(text.c_str(), &end);
+        if (text.empty() || *end != '\0' || !(rc.jobTimeoutMs >= 0.0) ||
+            !std::isfinite(rc.jobTimeoutMs))
+            flagError("--job-timeout-ms needs a non-negative number, got '" +
+                      text + "'");
+    }
     rc.checkpointPath = stringArg(argc, argv, "--checkpoint");
+    if (hasFlag(argc, argv, "--checkpoint") && rc.checkpointPath.empty())
+        flagError("--checkpoint needs a journal path");
     return rc;
 }
 
@@ -232,18 +267,26 @@ resilienceArgs(int argc, char **argv)
  *                 span to PATH (open in chrome://tracing or Perfetto)
  *   --metrics     write `<out-dir>/<exp>.metrics.json` with counters,
  *                 gauges, span stats, and value distributions
+ *
+ * A bad --out-dir (empty, missing, or not a directory) or a malformed
+ * fault-tolerance flag exits 2 here, before any simulation runs.
  */
 inline void
 benchInit(int argc, char **argv)
 {
     quietLogs(argc, argv);
-    outDir() = stringArg(argc, argv, "--out-dir");
     if (argc > 0 && argv[0] && argv[0][0]) {
         std::string exe = argv[0];
         std::size_t slash = exe.find_last_of('/');
         experimentId() =
             slash == std::string::npos ? exe : exe.substr(slash + 1);
     }
+    outDir() = stringArg(argc, argv, "--out-dir");
+    std::error_code ec;
+    if (hasFlag(argc, argv, "--out-dir") &&
+        !std::filesystem::is_directory(outDir(), ec))
+        flagError("--out-dir '" + outDir() + "' is not a directory");
+    resilienceArgs(argc, argv); // validated now; drivers re-read it
     bool observing = false;
     const std::string trace_path = stringArg(argc, argv, "--trace");
     if (!trace_path.empty()) {

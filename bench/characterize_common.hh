@@ -58,12 +58,13 @@ characterizeIds(const std::vector<std::string> &ids,
                 const std::string &exp_id = "characterize")
 {
     measure::PhaseTimer phase("sweep");
-    if (!cfg.resilience.enabled())
-        return measure::characterizeMany(ids, cfg);
-    measure::ResilientCharacterizations r =
-        measure::characterizeManyResilient(ids, cfg);
-    reportFailures(exp_id, r.manifest, r.totalJobs);
-    return std::move(r.results);
+    measure::FailureManifest manifest;
+    std::vector<measure::Characterization> chars =
+        measure::characterizeMany(ids, cfg, &manifest);
+    reportFailures(exp_id, manifest,
+                   ids.size() * cfg.coreGhz.size() * cfg.memMtPerSec.size() *
+                       static_cast<std::size_t>(cfg.runsPerPoint));
+    return chars;
 }
 
 /** Print the fitted-parameter table with the paper's values beside. */

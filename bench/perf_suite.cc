@@ -38,6 +38,9 @@
  *   perf_suite [--repeats K] [--jobs-list 1,2] [--bin-dir DIR]
  *              [--out FILE] [--carry-baseline FILE]
  *              [--skip-microbench] [--benchmark-filter REGEX]
+ *
+ * `--help` prints the flags and exits 0; an unknown or malformed flag
+ * exits 2. Neither runs anything or writes a file.
  */
 
 #include <algorithm>
@@ -54,13 +57,12 @@
 #include "bench_common.hh"
 #include "serve/server.hh"
 #include "serve/transport.hh"
+#include "util/cli.hh"
 #include "util/error.hh"
 #include "util/string_util.hh"
 
 namespace
 {
-
-using memsense::bench::stringArg;
 
 double
 medianOf(std::vector<double> v)
@@ -449,31 +451,43 @@ int
 main(int argc, char **argv)
 {
     using namespace memsense;
+    CliParser cli("perf_suite",
+                  "measure the repo: end-to-end drivers, microbench "
+                  "kernels and the serve batch loop");
+    cli.addInt("repeats", 3, "warm repeats per end-to-end config");
+    cli.addString("jobs-list", "1,2", "comma-separated --jobs values");
+    cli.addString("bin-dir", "",
+                  "directory of the bench binaries (default: this "
+                  "binary's directory)");
+    cli.addString("out", "BENCH_memsense.json", "output JSON path");
+    cli.addString("carry-baseline", "",
+                  "JSON file whose baseline_pre_pr section is carried "
+                  "forward");
+    cli.addBool("skip-microbench", "skip the google-benchmark kernels");
+    cli.addString("benchmark-filter", "", "microbench filter regex");
+    cli.addBool("quiet", "warnings and errors only");
+    cli.addBool("debug", "debug logging");
+    if (!cli.parse(argc, argv))
+        return cli.getBool("help") ? 0 : 2;
+    if (!cli.positional().empty()) {
+        std::fprintf(stderr, "perf_suite: unexpected argument '%s'\n",
+                     cli.positional().front().c_str());
+        return 2;
+    }
     bench::benchInit(argc, argv);
 
-    std::string binDir = stringArg(argc, argv, "--bin-dir");
+    std::string binDir = cli.getString("bin-dir");
     if (binDir.empty()) {
         const std::string self = argv[0];
         const std::size_t slash = self.find_last_of('/');
         binDir = slash == std::string::npos ? "." : self.substr(0, slash);
     }
-    const std::string repeatsArg = stringArg(argc, argv, "--repeats");
-    const int repeats =
-        repeatsArg.empty() ? 3 : std::max(1, std::atoi(repeatsArg.c_str()));
-    std::string jobsList = stringArg(argc, argv, "--jobs-list");
-    if (jobsList.empty())
-        jobsList = "1,2";
-    std::string outPath = stringArg(argc, argv, "--out");
-    if (outPath.empty())
-        outPath = "BENCH_memsense.json";
-    const std::string carryPath =
-        stringArg(argc, argv, "--carry-baseline");
-    const std::string filter =
-        stringArg(argc, argv, "--benchmark-filter");
-    bool skipMicro = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == std::string("--skip-microbench"))
-            skipMicro = true;
+    const int repeats = std::max(1, cli.getInt("repeats"));
+    const std::string jobsList = cli.getString("jobs-list");
+    const std::string outPath = cli.getString("out");
+    const std::string carryPath = cli.getString("carry-baseline");
+    const std::string filter = cli.getString("benchmark-filter");
+    const bool skipMicro = cli.getBool("skip-microbench");
 
     char scratchTemplate[] = "/tmp/memsense_perf_XXXXXX";
     const char *scratchC = mkdtemp(scratchTemplate);

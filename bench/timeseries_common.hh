@@ -23,7 +23,7 @@ namespace memsense::bench
  * Run and print the time series of the given workloads. Series run
  * concurrently on @p jobs workers (each serially sampled on its own
  * machine) and print in input order. With any fault-tolerance flag
- * set (@p resilience enabled), failed captures are retried and then
+ * set in @p resilience, failed captures are retried and then
  * quarantined — the surviving series still print, and the failures
  * are reported via reportFailures().
  */
@@ -47,17 +47,11 @@ runTimeSeries(const std::string &exp_id,
         cfgs.push_back(cfg);
     }
 
-    std::vector<measure::TimeSeries> series;
     measure::PhaseTimer phase("sweep");
-    if (resilience.enabled()) {
-        measure::ResilientTimeSeriesBatch batch =
-            measure::captureTimeSeriesBatchResilient(cfgs, jobs,
-                                                     resilience);
-        reportFailures(exp_id, batch.manifest, batch.totalJobs);
-        series = std::move(batch.results);
-    } else {
-        series = measure::captureTimeSeriesBatch(cfgs, jobs);
-    }
+    measure::FailureManifest manifest;
+    const std::vector<measure::TimeSeries> series =
+        measure::captureTimeSeriesBatch(cfgs, jobs, resilience, &manifest);
+    reportFailures(exp_id, manifest, cfgs.size());
 
     // Index by the series' own workload id: with quarantined captures
     // the surviving list can be shorter than ids.

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Build the tree with AddressSanitizer and run the fault-tolerance
-# suite: retry policy, fault-injection harness, and the resilient
-# executor (quarantine, deadlines, checkpoint/resume). Injected faults
+# suite: retry policy, fault-injection harness, and the sweep engine
+# (quarantine, deadlines, checkpoint/resume, and the strict mapOrdered
+# path, which runs through the same fault-handling engine). Injected faults
 # exercise every error path, so a clean exit means the retry loops,
 # exception capture, and journal replay leak and corrupt nothing even
 # while faults are firing.
@@ -22,13 +23,13 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 # accept/read/parse/enqueue/solve/write path.
 cmake --build "${build_dir}" -j \
     --target util_retry_test util_fault_injection_test \
-    measure_resilience_test serve_evaluator_test \
+    measure_resilience_test measure_parallel_test serve_evaluator_test \
     serve_server_test serve_loadgen_test serve_soak_test
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 
 ctest --test-dir "${build_dir}" --output-on-failure \
-    -R 'Retry|FaultInjection|MeasureResilienceTest|EvaluatorFault|ServeServer|ServeSoak|LoadgenRun|LoadgenRequestLine'
+    -R 'Retry|FaultInjection|MeasureResilienceTest|MeasureParallelTest|EvaluatorFault|ServeServer|ServeSoak|LoadgenRun|LoadgenRequestLine'
 
 echo "Fault check passed: retry, injection, checkpoint, and serving" \
      "paths are clean under ASan."

@@ -177,6 +177,30 @@ mapOrderedResilientCheckpointed(
     return results;
 }
 
+/**
+ * The one sweep policy of measure/: run @p inputs on the checkpointed
+ * resilient engine under @p resilience. With no knob set
+ * (ResilienceConfig{}: one attempt, no deadline, no journal) the
+ * original exception of the lowest-indexed failed job is rethrown once
+ * every job has settled; with any knob set, failures come back
+ * quarantined in their JobResult for the caller to record. @p run_key
+ * and @p codec are used only when a journal is configured.
+ */
+template <typename Job, typename Fn>
+auto
+runSweep(const ParallelExecutor &exec, const std::vector<Job> &inputs, Fn fn,
+         const ResilienceConfig &resilience, const std::string &run_key,
+         const CheckpointCodec<std::invoke_result_t<Fn, const Job &>> &codec)
+    -> std::vector<JobResult<std::invoke_result_t<Fn, const Job &>>>
+{
+    auto settled = mapOrderedResilientCheckpointed(
+        exec, inputs, fn, resilience.toOptions(), resilience.checkpointPath,
+        run_key, codec);
+    if (!resilience.enabled())
+        rethrowFirstFailure(settled);
+    return settled;
+}
+
 } // namespace memsense::measure
 
 #endif // MEMSENSE_MEASURE_CHECKPOINT_HH

@@ -137,16 +137,15 @@ characterizationGrid(const std::string &workload_id,
 Characterization
 characterize(const std::string &workload_id, const FreqScalingConfig &cfg)
 {
-    const std::vector<RunConfig> grid =
-        characterizationGrid(workload_id, cfg);
-    ParallelExecutor exec(cfg.jobs);
-    return fitCharacterization(workload_id,
-                               exec.mapOrdered(grid, runGridPoint));
+    std::vector<Characterization> out = characterizeMany({workload_id}, cfg);
+    requireConfig(!out.empty(), workload_id + ": too few grid points "
+                                              "survived to fit the model");
+    return std::move(out.front());
 }
 
 std::vector<Characterization>
 characterizeMany(const std::vector<std::string> &ids,
-                 const FreqScalingConfig &cfg)
+                 const FreqScalingConfig &cfg, FailureManifest *manifest)
 {
     // Flatten every workload's grid into one job list so workers stay
     // busy across workload boundaries, then slice the ordered results
@@ -160,72 +159,35 @@ characterizeMany(const std::vector<std::string> &ids,
     }
 
     ParallelExecutor exec(cfg.jobs);
-    std::vector<model::FitObservation> observations =
-        exec.mapOrdered(all_jobs, runGridPoint);
-
-    const std::size_t per_workload =
-        ids.empty() ? 0 : observations.size() / ids.size();
-    std::vector<Characterization> out;
-    out.reserve(ids.size());
-    for (std::size_t w = 0; w < ids.size(); ++w) {
-        auto first = observations.begin() +
-                     static_cast<std::ptrdiff_t>(w * per_workload);
-        out.push_back(fitCharacterization(
-            ids[w], std::vector<model::FitObservation>(
-                        first, first + static_cast<std::ptrdiff_t>(
-                                           per_workload))));
-    }
-    return out;
-}
-
-ResilientCharacterizations
-characterizeManyResilient(const std::vector<std::string> &ids,
-                          const FreqScalingConfig &cfg)
-{
-    std::vector<RunConfig> all_jobs;
-    for (const auto &id : ids) {
-        inform("characterizing " + id + " (fault-tolerant) ...");
-        std::vector<RunConfig> grid = characterizationGrid(id, cfg);
-        all_jobs.insert(all_jobs.end(), grid.begin(), grid.end());
-    }
-
-    ParallelExecutor exec(cfg.jobs);
     std::vector<JobResult<model::FitObservation>> settled =
-        mapOrderedResilientCheckpointed(
-            exec, all_jobs, runGridPoint, cfg.resilience.toOptions(),
-            cfg.resilience.checkpointPath,
-            characterizationRunKey(ids, cfg), fitObservationCodec());
-
-    ResilientCharacterizations out;
-    out.totalJobs = settled.size();
+        runSweep(exec, all_jobs, runGridPoint, cfg.resilience,
+                 characterizationRunKey(ids, cfg), fitObservationCodec());
     for (std::size_t i = 0; i < settled.size(); ++i) {
         if (settled[i].ok())
             continue;
-        FailureRecord rec = *settled[i].failure;
         const RunConfig &rc = all_jobs[i];
-        rec.context = strformat("%s ghz=%.4g mt=%.6g seed=%llu",
-                                rc.workloadId.c_str(), rc.ghz,
-                                rc.memMtPerSec,
-                                static_cast<unsigned long long>(rc.seed));
-        out.manifest.failures.push_back(std::move(rec));
+        quarantine(manifest, settled[i],
+                   strformat("%s ghz=%.4g mt=%.6g seed=%llu",
+                             rc.workloadId.c_str(), rc.ghz, rc.memMtPerSec,
+                             static_cast<unsigned long long>(rc.seed)));
     }
 
-    // Slice the settled grid back per workload; a workload needs at
-    // least two surviving observations for the two-parameter fit,
-    // otherwise it is skipped and recorded in the manifest.
+    // A workload that lost grid points to quarantine needs at least
+    // two survivors for the two-parameter fit; otherwise it is skipped
+    // and recorded in the manifest.
     const std::size_t per_workload =
         ids.empty() ? 0 : settled.size() / ids.size();
+    std::vector<Characterization> out;
+    out.reserve(ids.size());
     for (std::size_t w = 0; w < ids.size(); ++w) {
         std::vector<model::FitObservation> survivors;
-        std::size_t lost = 0;
         for (std::size_t j = 0; j < per_workload; ++j) {
-            const auto &r = settled[w * per_workload + j];
+            auto &r = settled[w * per_workload + j];
             if (r.ok())
-                survivors.push_back(*r.value);
-            else
-                ++lost;
+                survivors.push_back(std::move(*r.value));
         }
-        if (survivors.size() < 2) {
+        const std::size_t lost = per_workload - survivors.size();
+        if (lost > 0 && survivors.size() < 2) {
             FailureRecord rec;
             rec.jobIndex = w * per_workload;
             rec.context = ids[w];
@@ -234,9 +196,9 @@ characterizeManyResilient(const std::vector<std::string> &ids,
                 "%zu of %zu grid points quarantined; at least 2 "
                 "observations are needed to fit the model",
                 lost, per_workload);
-            rec.fatal = false;
             warn(ids[w] + ": " + rec.message);
-            out.manifest.failures.push_back(std::move(rec));
+            if (manifest)
+                manifest->failures.push_back(std::move(rec));
             continue;
         }
         if (lost > 0)
@@ -244,8 +206,7 @@ characterizeManyResilient(const std::vector<std::string> &ids,
                            "(%zu quarantined)",
                            ids[w].c_str(), survivors.size(),
                            per_workload, lost));
-        out.results.push_back(
-            fitCharacterization(ids[w], std::move(survivors)));
+        out.push_back(fitCharacterization(ids[w], std::move(survivors)));
     }
     return out;
 }

@@ -52,9 +52,8 @@ struct FreqScalingConfig
      *  one per hardware thread. Results are identical for any value. */
     int jobs = 1;
     /** Fault tolerance: retry budget, per-job deadline, checkpoint
-     *  journal (see docs/robustness.md). Only the resilient entry
-     *  points consult this; characterize()/characterizeMany() keep
-     *  the strict first-error-aborts contract. */
+     *  journal (see docs/robustness.md). The default is strict: the
+     *  first failed grid point's exception aborts the sweep. */
     ResilienceConfig resilience;
 };
 
@@ -75,7 +74,8 @@ characterizationGrid(const std::string &workload_id,
                      const FreqScalingConfig &cfg);
 
 /**
- * Run the sweep for one workload and fit the model.
+ * Run the sweep for one workload and fit the model:
+ * characterizeMany({workload_id}, cfg).front().
  *
  * @param workload_id catalog id
  * @param cfg         sweep configuration
@@ -87,38 +87,25 @@ Characterization characterize(const std::string &workload_id,
  * Characterize several workloads, pooling every grid point of every
  * workload into one job list so cfg.jobs workers stay busy across
  * workload boundaries.
+ *
+ * With cfg.resilience at its strict default, a failing grid point's
+ * original exception is rethrown. With any resilience knob set, grid
+ * points that fail are retried and then quarantined into @p manifest
+ * (when non-null), completed points stream to
+ * cfg.resilience.checkpointPath (when set) for resume, and each fit
+ * uses the surviving observations; a workload left with fewer than two
+ * is skipped and recorded. Results are identical to a clean strict run
+ * whenever nothing is quarantined — for any worker count, interrupted
+ * or not.
  */
 std::vector<Characterization>
 characterizeMany(const std::vector<std::string> &ids,
-                 const FreqScalingConfig &cfg = {});
+                 const FreqScalingConfig &cfg = {},
+                 FailureManifest *manifest = nullptr);
 
 /** Characterize every catalog workload (Tables 2 + 4 + 5 pipeline). */
 std::vector<Characterization>
 characterizeAll(const FreqScalingConfig &cfg = {});
-
-/** Outcome of a fault-tolerant characterization sweep. */
-struct ResilientCharacterizations
-{
-    /** Workloads whose surviving observations supported a fit. */
-    std::vector<Characterization> results;
-    /** Every quarantined grid point (and any workload whose fit had
-     *  to be skipped), machine-readable. Empty = clean sweep. */
-    FailureManifest manifest;
-    /** Grid points attempted (for manifest summaries). */
-    std::size_t totalJobs = 0;
-};
-
-/**
- * Fault-tolerant characterizeMany(): grid points that fail are
- * retried per cfg.resilience and then quarantined instead of aborting
- * the sweep, completed points stream to cfg.resilience.checkpointPath
- * (when set) for resume, and the fits are computed from the surviving
- * observations. Identical results to characterizeMany() when nothing
- * fails — for any worker count, interrupted or not.
- */
-ResilientCharacterizations
-characterizeManyResilient(const std::vector<std::string> &ids,
-                          const FreqScalingConfig &cfg = {});
 
 } // namespace memsense::measure
 

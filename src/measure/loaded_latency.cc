@@ -161,127 +161,66 @@ LoadedLatencyCurve::toQueuingSamples() const
 }
 
 LoadedLatencyCurve
-sweepLoadedLatency(const LoadedLatencySetup &setup)
+sweepLoadedLatency(const LoadedLatencySetup &setup, FailureManifest *manifest)
 {
     requireConfig(setup.cores >= 2,
                   "loaded-latency sweep needs a probe and at least one "
                   "bandwidth generator");
     requireConfig(!setup.delayCycles.empty(), "no delay points");
 
+    ParallelExecutor exec(setup.jobs);
+    std::vector<JobResult<LoadedLatencyPoint>> settled = runSweep(
+        exec, setup.delayCycles,
+        [&setup](const std::uint32_t &delay) {
+            return measurePointLogged(setup, delay);
+        },
+        setup.resilience, loadedLatencyRunKey(setup),
+        loadedLatencyPointCodec());
+
     LoadedLatencyCurve curve;
     curve.setup = setup;
-    ParallelExecutor exec(setup.jobs);
-    curve.points = exec.mapOrdered(
-        setup.delayCycles, [&setup](const std::uint32_t &delay) {
-            return measurePointLogged(setup, delay);
-        });
+    for (std::size_t i = 0; i < settled.size(); ++i) {
+        if (settled[i].ok()) {
+            curve.points.push_back(*settled[i].value);
+            continue;
+        }
+        quarantine(manifest, settled[i],
+                   strformat("mlc mt=%.6g rf=%.2f delay=%u",
+                             setup.memMtPerSec, setup.readFraction,
+                             setup.delayCycles[i]));
+    }
+    const std::size_t lost = settled.size() - curve.points.size();
+    if (lost > 0) {
+        requireConfig(curve.points.size() >= 2,
+                      strformat("loaded-latency sweep: only %zu of %zu "
+                                "delay points survived; need at least 2 "
+                                "for a curve",
+                                curve.points.size(), settled.size()));
+        warn(strformat("loaded-latency sweep: %zu of %zu delay points "
+                       "quarantined",
+                       lost, settled.size()));
+    }
     finalizeCurve(curve);
     return curve;
 }
 
-ResilientLoadedLatency
-sweepLoadedLatencyResilient(const LoadedLatencySetup &setup)
-{
-    requireConfig(setup.cores >= 2,
-                  "loaded-latency sweep needs a probe and at least one "
-                  "bandwidth generator");
-    requireConfig(!setup.delayCycles.empty(), "no delay points");
-
-    ParallelExecutor exec(setup.jobs);
-    std::vector<JobResult<LoadedLatencyPoint>> settled =
-        mapOrderedResilientCheckpointed(
-            exec, setup.delayCycles,
-            [&setup](const std::uint32_t &delay) {
-                return measurePointLogged(setup, delay);
-            },
-            setup.resilience.toOptions(), setup.resilience.checkpointPath,
-            loadedLatencyRunKey(setup), loadedLatencyPointCodec());
-
-    ResilientLoadedLatency out;
-    out.totalJobs = settled.size();
-    out.curve.setup = setup;
-    for (std::size_t i = 0; i < settled.size(); ++i) {
-        if (settled[i].ok()) {
-            out.curve.points.push_back(*settled[i].value);
-            continue;
-        }
-        FailureRecord rec = *settled[i].failure;
-        rec.context = strformat("mlc mt=%.6g rf=%.2f delay=%u",
-                                setup.memMtPerSec, setup.readFraction,
-                                setup.delayCycles[i]);
-        out.manifest.failures.push_back(std::move(rec));
-    }
-    requireConfig(out.curve.points.size() >= 2,
-                  strformat("loaded-latency sweep: only %zu of %zu delay "
-                            "points survived; need at least 2 for a curve",
-                            out.curve.points.size(), settled.size()));
-    if (!out.manifest.empty())
-        warn(strformat("loaded-latency sweep: %zu of %zu delay points "
-                       "quarantined",
-                       out.manifest.failures.size(), settled.size()));
-    finalizeCurve(out.curve);
-    return out;
-}
-
-std::vector<LoadedLatencySetup>
-paperFig7Setups()
-{
-    std::vector<LoadedLatencySetup> setups;
-    for (double mt : {1333.3, 1866.7}) {
-        for (double rf : {1.0, 0.67}) {
-            LoadedLatencySetup s;
-            s.memMtPerSec = mt;
-            s.readFraction = rf;
-            setups.push_back(s);
-        }
-    }
-    return setups;
-}
-
-model::QueuingModel
-measureQueuingModel(const std::vector<LoadedLatencySetup> &setups,
-                    std::size_t bins, double max_stable_util)
+std::vector<LoadedLatencyCurve>
+sweepLoadedLatencyFamily(const std::vector<LoadedLatencySetup> &setups,
+                         FailureManifest *manifest)
 {
     requireConfig(!setups.empty(), "no sweep setups");
-    std::vector<stats::PiecewiseCurve> curves;
-    for (const auto &setup : setups) {
-        inform(strformat("loaded-latency sweep: DDR-%g, %.0f%% reads",
-                         setup.memMtPerSec, setup.readFraction * 100.0));
-        LoadedLatencyCurve c = sweepLoadedLatency(setup);
-        curves.push_back(stats::PiecewiseCurve::fromSamples(
-                             c.toQueuingSamples(), bins)
-                             .monotoneEnvelope());
-    }
-    stats::PiecewiseCurve composite =
-        stats::PiecewiseCurve::composite(curves, bins).monotoneEnvelope();
-    return model::QueuingModel::fromCurve(std::move(composite),
-                                          max_stable_util);
-}
-
-model::QueuingModel
-measureQueuingModelResilient(const std::vector<LoadedLatencySetup> &setups,
-                             const ResilienceConfig &resilience,
-                             FailureManifest *manifest, std::size_t bins,
-                             double max_stable_util)
-{
-    requireConfig(!setups.empty(), "no sweep setups");
-    std::vector<stats::PiecewiseCurve> curves;
+    std::vector<LoadedLatencyCurve> curves;
     for (std::size_t i = 0; i < setups.size(); ++i) {
         LoadedLatencySetup setup = setups[i];
-        setup.resilience = resilience;
-        if (!resilience.checkpointPath.empty())
-            setup.resilience.checkpointPath =
-                resilience.checkpointPath + ".mlc" + std::to_string(i);
+        if (!setup.resilience.checkpointPath.empty())
+            setup.resilience.checkpointPath += ".mlc" + std::to_string(i);
         inform(strformat("loaded-latency sweep: DDR-%g, %.0f%% reads",
                          setup.memMtPerSec, setup.readFraction * 100.0));
         try {
-            ResilientLoadedLatency r = sweepLoadedLatencyResilient(setup);
-            if (manifest)
-                manifest->merge(r.manifest);
-            curves.push_back(stats::PiecewiseCurve::fromSamples(
-                                 r.curve.toQueuingSamples(), bins)
-                                 .monotoneEnvelope());
+            curves.push_back(sweepLoadedLatency(setup, manifest));
         } catch (const ConfigError &e) {
+            if (!setup.resilience.enabled())
+                throw;
             // The whole curve failed (fewer than two surviving
             // points). Quarantine the setup and keep sweeping.
             warn(strformat("skipping DDR-%g rf=%.2f curve: %s",
@@ -302,6 +241,35 @@ measureQueuingModelResilient(const std::vector<LoadedLatencySetup> &setups,
     requireConfig(!curves.empty(),
                   "every loaded-latency curve was quarantined; cannot "
                   "build a queuing model");
+    return curves;
+}
+
+std::vector<LoadedLatencySetup>
+paperFig7Setups()
+{
+    std::vector<LoadedLatencySetup> setups;
+    for (double mt : {1333.3, 1866.7}) {
+        for (double rf : {1.0, 0.67}) {
+            LoadedLatencySetup s;
+            s.memMtPerSec = mt;
+            s.readFraction = rf;
+            setups.push_back(s);
+        }
+    }
+    return setups;
+}
+
+model::QueuingModel
+measureQueuingModel(const std::vector<LoadedLatencySetup> &setups,
+                    std::size_t bins, double max_stable_util,
+                    FailureManifest *manifest)
+{
+    std::vector<stats::PiecewiseCurve> curves;
+    for (const LoadedLatencyCurve &c :
+         sweepLoadedLatencyFamily(setups, manifest))
+        curves.push_back(stats::PiecewiseCurve::fromSamples(
+                             c.toQueuingSamples(), bins)
+                             .monotoneEnvelope());
     stats::PiecewiseCurve composite =
         stats::PiecewiseCurve::composite(curves, bins).monotoneEnvelope();
     return model::QueuingModel::fromCurve(std::move(composite),

@@ -5,26 +5,25 @@
  * Every sweep in measure/ is a grid of independent, seed-deterministic
  * simulations: each job constructs its own Machine from its own config
  * and seed, so jobs share no mutable state and any execution order
- * yields the same per-job result. ParallelExecutor::mapOrdered()
- * exploits that: it fans the jobs out over a ThreadPool but writes
- * result i to output slot i, so the collected vector is bit-identical
- * to the serial loop regardless of completion order.
+ * yields the same per-job result. The one engine,
+ * ParallelExecutor::mapIndicesResilient(), exploits that: it fans the
+ * jobs out over a ThreadPool but writes result i to output slot i, so
+ * the collected vector is bit-identical to the serial loop regardless
+ * of completion order. mapOrdered() and mapOrderedResilient() are thin
+ * adapters over it.
  */
 
 #ifndef MEMSENSE_MEASURE_PARALLEL_HH
 #define MEMSENSE_MEASURE_PARALLEL_HH
 
 #include <cstddef>
-#include <exception>
 #include <future>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "measure/resilience.hh"
 #include "util/thread_pool.hh"
-#include "util/trace.hh"
 
 namespace memsense::measure
 {
@@ -56,65 +55,31 @@ class ParallelExecutor
      * in input order.
      *
      * fn must be invocable on each element concurrently — in practice,
-     * each call builds and owns its own Machine/RNG state. If any call
-     * throws, the exception of the lowest-indexed failing job is
-     * rethrown after all jobs finish (workers are never abandoned
-     * mid-simulation).
+     * each call builds and owns its own Machine/RNG state. This is the
+     * strict adapter over the resilient engine, run with
+     * ResilienceConfig{} (one attempt, no deadline, no journal): if any
+     * call throws, the original exception of the lowest-indexed
+     * failing job is rethrown after all jobs finish (workers are never
+     * abandoned mid-simulation).
      */
     template <typename Job, typename Fn>
     auto
     mapOrdered(const std::vector<Job> &inputs, Fn fn) const
         -> std::vector<std::invoke_result_t<Fn, const Job &>>
     {
-        using Result = std::invoke_result_t<Fn, const Job &>;
-        if (jobCount <= 1 || inputs.size() <= 1) {
-            std::vector<Result> out;
-            out.reserve(inputs.size());
-            for (const auto &job : inputs) {
-                MS_TRACE_SPAN("measure.job");
-                MS_METRIC_COUNT("measure.jobs_run");
-                out.push_back(fn(job));
-            }
-            return out;
-        }
-
-        int workers = jobCount;
-        if (static_cast<std::size_t>(workers) > inputs.size())
-            workers = static_cast<int>(inputs.size());
-        ThreadPool pool(workers);
-        std::vector<std::future<Result>> futures;
-        futures.reserve(inputs.size());
-        for (const auto &job : inputs) {
-            futures.push_back(pool.submit([&fn, &job]() {
-                MS_TRACE_SPAN("measure.job");
-                MS_METRIC_COUNT("measure.jobs_run");
-                return fn(job);
-            }));
-        }
-
-        std::vector<std::optional<Result>> slots(inputs.size());
-        std::exception_ptr first_error;
-        for (std::size_t i = 0; i < futures.size(); ++i) {
-            try {
-                slots[i].emplace(futures[i].get());
-            } catch (...) {
-                if (!first_error)
-                    first_error = std::current_exception();
-            }
-        }
-        if (first_error)
-            std::rethrow_exception(first_error);
-
-        std::vector<Result> out;
-        out.reserve(slots.size());
-        for (auto &slot : slots)
-            out.push_back(std::move(*slot));
+        auto settled =
+            mapOrderedResilient(inputs, fn, ResilienceConfig{}.toOptions());
+        rethrowFirstFailure(settled);
+        std::vector<std::invoke_result_t<Fn, const Job &>> out;
+        out.reserve(settled.size());
+        for (auto &r : settled)
+            out.push_back(std::move(*r.value));
         return out;
     }
 
     /**
-     * Fault-tolerant variant of mapOrdered(): apply @p fn to every
-     * input and return one JobResult per input, in input order.
+     * Resilient map: apply @p fn to every input and return one
+     * JobResult per input, in input order.
      *
      * A job that throws is retried per @p opts (TransientErrors only,
      * seeded backoff keyed by the job index) and, once fatal, timed

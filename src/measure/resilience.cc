@@ -37,13 +37,6 @@ jsonEscape(std::ostream &os, const std::string &s)
 
 } // anonymous namespace
 
-void
-FailureManifest::merge(const FailureManifest &other)
-{
-    failures.insert(failures.end(), other.failures.begin(),
-                    other.failures.end());
-}
-
 std::string
 FailureManifest::summary(std::size_t total_jobs) const
 {

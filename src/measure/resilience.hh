@@ -1,20 +1,22 @@
 /**
  * @file
- * Per-job fault tolerance for the parallel experiment engine.
+ * Per-job fault tolerance: the core of the one sweep engine.
  *
- * mapOrdered() (measure/parallel.hh) aborts a whole sweep on the first
- * failing job — correct for tests, wasteful for the paper's production
- * grids, where one non-converging fixed point should not discard hours
- * of completed simulations. The resilient path wraps every job in the
- * retry taxonomy of util/retry.hh and returns a JobResult per input:
- * either the value, or a FailureRecord describing why the job was
- * quarantined (error type, message, attempts, deadline state). A sweep
- * therefore always completes, and the quarantined failures travel in a
- * machine-readable FailureManifest next to the results.
+ * Every measure/ sweep runs its jobs through runResilientJob(), which
+ * wraps each job in the retry taxonomy of util/retry.hh and returns a
+ * JobResult: either the value, or a FailureRecord describing why the
+ * job was quarantined (error type, message, attempts, deadline state)
+ * plus the job's original exception. What happens to a failure is the
+ * caller's policy, decided once per sweep (measure/checkpoint.hh,
+ * runSweep()): the strict default (ResilienceConfig{}: one attempt, no
+ * deadline, no journal) rethrows the lowest-indexed failure, while any
+ * resilience knob quarantines failures into a machine-readable
+ * FailureManifest so one bad grid point cannot discard hours of
+ * completed simulations.
  *
- * Determinism: job values are computed exactly as in mapOrdered(), and
- * retry backoff is seeded per job index, so for a given fault pattern
- * the outcome vector is independent of worker count and scheduling.
+ * Determinism: job values do not depend on the policy, and retry
+ * backoff is seeded per job index, so for a given fault pattern the
+ * outcome vector is independent of worker count and scheduling.
  */
 
 #ifndef MEMSENSE_MEASURE_RESILIENCE_HH
@@ -52,6 +54,8 @@ struct JobResult
 {
     std::optional<T> value;
     std::optional<FailureRecord> failure;
+    /** The failed job's final exception, for strict callers to rethrow. */
+    std::exception_ptr error;
     /** Attempts used (0 when the value was restored from a journal). */
     int attempts = 0;
 
@@ -81,15 +85,42 @@ struct FailureManifest
         return m;
     }
 
-    /** Merge another manifest's records into this one. */
-    void merge(const FailureManifest &other);
-
     /** One human line: "3 of 128 jobs quarantined (2 retryable, ...)". */
     std::string summary(std::size_t total_jobs) const;
 
     /** JSON document for tooling (schema in docs/robustness.md). */
     std::string toJson() const;
 };
+
+/**
+ * Strict collection: rethrow the original exception of the
+ * lowest-indexed failed job in @p results, if any failed.
+ */
+template <typename T>
+void
+rethrowFirstFailure(const std::vector<JobResult<T>> &results)
+{
+    for (const auto &r : results) {
+        if (!r.ok())
+            std::rethrow_exception(r.error);
+    }
+}
+
+/**
+ * Record the quarantined @p result in @p manifest (when non-null),
+ * tagged with @p context.
+ */
+template <typename T>
+void
+quarantine(FailureManifest *manifest, const JobResult<T> &result,
+           std::string context)
+{
+    if (!manifest)
+        return;
+    FailureRecord rec = *result.failure;
+    rec.context = std::move(context);
+    manifest->failures.push_back(std::move(rec));
+}
 
 /**
  * Engine knobs for one resilient sweep.
@@ -123,7 +154,8 @@ struct ResilienceConfig
     /** Seed for the backoff jitter streams. */
     std::uint64_t retrySeed = 0;
 
-    /** True when any knob deviates from the strict default path. */
+    /** True when any knob is set: failures are then quarantined
+     *  instead of rethrown. */
     bool enabled() const
     {
         return maxRetries > 0 || jobTimeoutMs > 0.0 ||
@@ -144,6 +176,7 @@ double steadyNowMs();
  * Run one job under the resilience contract. Never throws: every
  * exception ends up classified in the returned JobResult. @p stream
  * is the retry-jitter stream, conventionally the job's input index.
+ * One `measure.job` span covers the job, all its attempts included.
  */
 template <typename T, typename Fn>
 JobResult<T>
@@ -152,8 +185,9 @@ runResilientJob(Fn &fn, std::size_t stream, const ResilienceOptions &opts)
     auto now_ms = [&opts]() {
         return opts.nowMs ? opts.nowMs() : steadyNowMs();
     };
-    JobResult<T> out;
+    MS_TRACE_SPAN("measure.job");
     MS_METRIC_COUNT("measure.jobs_run");
+    JobResult<T> out;
     const double start_ms = now_ms();
     std::exception_ptr last_error;
     bool timed_out = false;
@@ -163,7 +197,6 @@ runResilientJob(Fn &fn, std::size_t stream, const ResilienceOptions &opts)
         if (out.attempts > 1)
             MS_METRIC_COUNT("measure.job_retries");
         try {
-            MS_TRACE_SPAN("measure.job_attempt");
             out.value.emplace(fn(stream));
             return out;
         } catch (...) {
@@ -200,6 +233,7 @@ runResilientJob(Fn &fn, std::size_t stream, const ResilienceOptions &opts)
     rec.fatal = fatal;
     rec.elapsedMs = now_ms() - start_ms;
     out.failure = std::move(rec);
+    out.error = last_error;
     return out;
 }
 

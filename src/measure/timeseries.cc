@@ -152,47 +152,34 @@ captureTimeSeries(const TimeSeriesConfig &cfg)
 }
 
 std::vector<TimeSeries>
-captureTimeSeriesBatch(const std::vector<TimeSeriesConfig> &cfgs,
-                       int jobs)
+captureTimeSeriesBatch(const std::vector<TimeSeriesConfig> &cfgs, int jobs,
+                       const ResilienceConfig &resilience,
+                       FailureManifest *manifest)
 {
     ParallelExecutor exec(jobs);
-    return exec.mapOrdered(cfgs, [](const TimeSeriesConfig &cfg) {
-        LogScope scope(cfg.run.workloadId);
-        return captureTimeSeries(cfg);
-    });
-}
+    std::vector<JobResult<TimeSeries>> settled = runSweep(
+        exec, cfgs,
+        [](const TimeSeriesConfig &cfg) {
+            LogScope scope(cfg.run.workloadId);
+            return captureTimeSeries(cfg);
+        },
+        resilience, timeSeriesRunKey(cfgs), timeSeriesCodec());
 
-ResilientTimeSeriesBatch
-captureTimeSeriesBatchResilient(const std::vector<TimeSeriesConfig> &cfgs,
-                                int jobs,
-                                const ResilienceConfig &resilience)
-{
-    ParallelExecutor exec(jobs);
-    std::vector<JobResult<TimeSeries>> settled =
-        mapOrderedResilientCheckpointed(
-            exec, cfgs,
-            [](const TimeSeriesConfig &cfg) {
-                LogScope scope(cfg.run.workloadId);
-                return captureTimeSeries(cfg);
-            },
-            resilience.toOptions(), resilience.checkpointPath,
-            timeSeriesRunKey(cfgs), timeSeriesCodec());
-
-    ResilientTimeSeriesBatch out;
-    out.totalJobs = settled.size();
+    std::vector<TimeSeries> out;
+    out.reserve(settled.size());
     for (std::size_t i = 0; i < settled.size(); ++i) {
         if (settled[i].ok()) {
-            out.results.push_back(std::move(*settled[i].value));
+            out.push_back(std::move(*settled[i].value));
             continue;
         }
-        FailureRecord rec = *settled[i].failure;
-        rec.context = strformat("%s ghz=%.4g mt=%.6g",
-                                cfgs[i].run.workloadId.c_str(),
-                                cfgs[i].run.ghz, cfgs[i].run.memMtPerSec);
-        out.manifest.failures.push_back(std::move(rec));
+        quarantine(manifest, settled[i],
+                   strformat("%s ghz=%.4g mt=%.6g",
+                             cfgs[i].run.workloadId.c_str(),
+                             cfgs[i].run.ghz, cfgs[i].run.memMtPerSec));
     }
-    if (!out.manifest.empty())
-        warn(out.manifest.summary(out.totalJobs));
+    if (out.size() < settled.size())
+        warn(strformat("%zu of %zu captures quarantined",
+                       settled.size() - out.size(), settled.size()));
     return out;
 }
 

@@ -70,32 +70,19 @@ TimeSeries captureTimeSeries(const TimeSeriesConfig &cfg);
  * ordered). Results come back in input order, identical to running
  * captureTimeSeries() in a loop.
  *
+ * With @p resilience at its strict default, a failing capture's
+ * original exception is rethrown. With any resilience knob set,
+ * failing captures are retried and then quarantined into @p manifest
+ * (when non-null) and left out of the result; completed series stream
+ * to resilience.checkpointPath (when set) for resume.
+ *
  * @param cfgs one entry per series
  * @param jobs worker threads; 1 = serial, <= 0 = hardware threads
  */
 std::vector<TimeSeries>
 captureTimeSeriesBatch(const std::vector<TimeSeriesConfig> &cfgs,
-                       int jobs = 1);
-
-/** Outcome of a fault-tolerant time-series batch. */
-struct ResilientTimeSeriesBatch
-{
-    /** Series that completed (possibly after retries), input order. */
-    std::vector<TimeSeries> results;
-    FailureManifest manifest; ///< quarantined captures
-    std::size_t totalJobs = 0;///< captures attempted
-};
-
-/**
- * Fault-tolerant captureTimeSeriesBatch(): captures that fail are
- * retried per @p resilience and then quarantined instead of aborting
- * the batch; completed series stream to resilience.checkpointPath
- * (when set) for resume. Surviving series keep input order.
- */
-ResilientTimeSeriesBatch
-captureTimeSeriesBatchResilient(const std::vector<TimeSeriesConfig> &cfgs,
-                                int jobs,
-                                const ResilienceConfig &resilience);
+                       int jobs = 1, const ResilienceConfig &resilience = {},
+                       FailureManifest *manifest = nullptr);
 
 } // namespace memsense::measure
 

@@ -12,9 +12,13 @@
  * model or simulator change moves these numbers far beyond them and
  * must regenerate the goldens (see docs/observability.md).
  *
+ * It also pins the drivers' command-line contract: the fault-tolerance
+ * flags run the same single sweep path (byte-identical CSVs, fresh and
+ * resumed from a checkpoint), and bad flags exit 2 before any work.
+ *
  * Driver and golden locations arrive as compile definitions from
  * tests/CMakeLists.txt: MEMSENSE_FIG03_BIN, MEMSENSE_FIG07_BIN,
- * MEMSENSE_GOLDEN_DIR.
+ * MEMSENSE_PERF_SUITE_BIN, MEMSENSE_GOLDEN_DIR.
  */
 
 #include <gtest/gtest.h>
@@ -22,10 +26,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
 
 namespace
 {
@@ -114,12 +122,90 @@ expectCsvNear(const std::string &name, const Csv &golden,
 
 /** Run @p bin with the golden configuration, outputs into @p dir. */
 void
-runDriver(const std::string &bin, const std::string &dir)
+runDriver(const std::string &bin, const std::string &dir,
+          const std::string &extra_flags = "")
 {
     const std::string cmd = bin + " --fast --quiet --jobs 2 --out-dir " +
-                            dir + " > " + dir + "/stdout.log 2>&1";
+                            dir + extra_flags + " > " + dir +
+                            "/stdout.log 2>&1";
     const int rc = std::system(cmd.c_str());
     ASSERT_EQ(rc, 0) << "driver failed: " << cmd;
+}
+
+/** Exit status of a shell command (-1 when it did not exit normally). */
+int
+exitCode(const std::string &cmd)
+{
+    const int rc = std::system(cmd.c_str());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+/** A new, empty directory under the test temp dir. */
+std::string
+freshDir(const std::string &name)
+{
+    const std::string dir = ::testing::TempDir() + name;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+/** Names of the entries in @p dir, sorted. */
+std::vector<std::string>
+listDir(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        names.push_back(e.path().filename().string());
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+/** Raw bytes of every CSV in @p dir, keyed by file name. */
+std::map<std::string, std::string>
+csvBytes(const std::string &dir)
+{
+    std::map<std::string, std::string> out;
+    for (const std::string &name : listDir(dir)) {
+        if (name.size() < 4 || name.substr(name.size() - 4) != ".csv")
+            continue;
+        std::ifstream in(dir + "/" + name, std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        out[name] = bytes.str();
+    }
+    return out;
+}
+
+/**
+ * The fault-tolerance flags select no second code path: a run with
+ * --max-retries and --checkpoint, and a rerun resumed from the same
+ * journal, both write CSVs byte-identical to the flag-free run.
+ */
+void
+expectResilientRunsByteIdentical(const std::string &bin,
+                                 const std::string &name,
+                                 const std::string &journal_file)
+{
+    const std::string plain = freshDir(name + "_plain");
+    runDriver(bin, plain);
+    const std::map<std::string, std::string> expected = csvBytes(plain);
+    ASSERT_FALSE(expected.empty());
+
+    const std::string journal = freshDir(name + "_journal") + "/ckpt";
+    const std::string flags = " --max-retries 1 --checkpoint " + journal;
+    const std::string fresh = freshDir(name + "_fresh");
+    runDriver(bin, fresh, flags);
+    EXPECT_EQ(csvBytes(fresh), expected);
+
+    const std::string written = journal + journal_file;
+    ASSERT_TRUE(std::filesystem::exists(written)) << written;
+    const auto journal_size = std::filesystem::file_size(written);
+    const std::string resumed = freshDir(name + "_resumed");
+    runDriver(bin, resumed, flags);
+    EXPECT_EQ(csvBytes(resumed), expected);
+    EXPECT_EQ(std::filesystem::file_size(written), journal_size)
+        << "the resumed run must restore every job, not re-run one";
 }
 
 void
@@ -168,6 +254,82 @@ TEST(GoldenRegression, Fig07QueuingDelayMatchesGolden)
          {"fig07_ddr1333_r100.csv", "fig07_ddr1333_r67.csv",
           "fig07_ddr1867_r100.csv", "fig07_ddr1867_r67.csv"})
         compareAgainstGolden(dir, f, exact, tol);
+}
+
+TEST(GoldenRegression, ResilientFlagsKeepFig03CsvsByteIdentical)
+{
+    expectResilientRunsByteIdentical(MEMSENSE_FIG03_BIN, "resilient_fig03",
+                                     "");
+}
+
+TEST(GoldenRegression, ResilientFlagsKeepFig07CsvsByteIdentical)
+{
+    // One --checkpoint path covers the four curves as PATH.mlc<i>.
+    expectResilientRunsByteIdentical(MEMSENSE_FIG07_BIN, "resilient_fig07",
+                                     ".mlc0");
+}
+
+TEST(GoldenRegression, BadOutDirExitsTwoBeforeAnyWork)
+{
+    const std::string dir = freshDir("bad_out_dir");
+    const std::string logs = freshDir("bad_out_dir_logs");
+    std::ofstream(dir + "/plain_file") << "not a directory\n";
+    for (const char *bin : {MEMSENSE_FIG03_BIN, MEMSENSE_FIG07_BIN}) {
+        for (const std::string &out :
+             {dir + "/missing", dir + "/plain_file", std::string()}) {
+            const std::string cmd = std::string(bin) +
+                                    " --fast --quiet --out-dir='" + out +
+                                    "' > " + logs + "/out.log 2> " + logs +
+                                    "/err.log";
+            EXPECT_EQ(exitCode(cmd), 2) << cmd;
+            std::ifstream err(logs + "/err.log");
+            std::string line;
+            int lines = 0;
+            while (std::getline(err, line))
+                ++lines;
+            EXPECT_EQ(lines, 1) << "want a one-line error: " << cmd;
+        }
+    }
+    EXPECT_EQ(listDir(dir), std::vector<std::string>{"plain_file"})
+        << "a rejected run must write nothing";
+}
+
+TEST(GoldenRegression, MalformedResilienceFlagsExitTwo)
+{
+    const std::string dir = freshDir("bad_resilience_flags");
+    const std::string logs = freshDir("bad_resilience_flags_logs");
+    for (const char *bin : {MEMSENSE_FIG03_BIN, MEMSENSE_FIG07_BIN}) {
+        for (const char *flag :
+             {"--max-retries abc", "--max-retries -1", "--max-retries 1.5",
+              "--max-retries=", "--job-timeout-ms soon",
+              "--job-timeout-ms -5", "--checkpoint="}) {
+            const std::string cmd = std::string(bin) +
+                                    " --fast --quiet --out-dir " + dir +
+                                    " " + flag + " > " + logs +
+                                    "/out.log 2>&1";
+            EXPECT_EQ(exitCode(cmd), 2) << cmd;
+        }
+    }
+    EXPECT_TRUE(listDir(dir).empty()) << "a rejected run must write nothing";
+}
+
+TEST(GoldenRegression, PerfSuiteHelpAndUnknownFlagsWriteNothing)
+{
+    const std::string dir = freshDir("perf_suite_cwd");
+    const std::string logs = freshDir("perf_suite_logs");
+    const std::string run = "cd " + dir + " && " + MEMSENSE_PERF_SUITE_BIN;
+    EXPECT_EQ(exitCode(run + " --help > " + logs + "/help.log 2>&1"), 0);
+    EXPECT_EQ(exitCode(run + " --no-such-flag > " + logs +
+                       "/unknown.log 2>&1"),
+              2);
+    EXPECT_EQ(exitCode(run + " --repeats > " + logs + "/novalue.log 2>&1"),
+              2);
+    EXPECT_TRUE(listDir(dir).empty())
+        << "--help and flag errors must not run the suite";
+    std::ifstream help(logs + "/help.log");
+    std::ostringstream text;
+    text << help.rdbuf();
+    EXPECT_NE(text.str().find("--repeats"), std::string::npos) << text.str();
 }
 
 } // anonymous namespace

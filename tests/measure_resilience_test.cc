@@ -19,8 +19,10 @@
 
 #include "measure/checkpoint.hh"
 #include "measure/freq_scaling.hh"
+#include "measure/loaded_latency.hh"
 #include "measure/parallel.hh"
 #include "measure/resilience.hh"
+#include "measure/timeseries.hh"
 #include "util/error.hh"
 #include "util/fault_injection.hh"
 #include "util/log.hh"
@@ -394,17 +396,42 @@ TEST_F(MeasureResilienceTest, ResolveJobsNeverReturnsZero)
     EXPECT_EQ(resolveJobs(3), 3);
 }
 
-/** End-to-end: the real characterization sweep under injected faults. */
-TEST_F(MeasureResilienceTest, CharacterizationSurvivesInjectedFaults)
+/**
+ * Small real characterization grid: four points (two per core speed),
+ * so an nth=3 fault fires at least once; two workers.
+ */
+FreqScalingConfig
+quickSweep()
 {
     FreqScalingConfig cfg;
     cfg.coreGhz = {2.1, 3.1};
     cfg.memMtPerSec = {1866.7};
+    cfg.runsPerPoint = 2;
     cfg.warmup = nsToPicos(300'000.0);
     cfg.measure = nsToPicos(300'000.0);
     cfg.adaptiveWarmup = false;
     cfg.coresOverride = 2;
     cfg.jobs = 2;
+    return cfg;
+}
+
+/** Small real loaded-latency sweep: three delay points. */
+LoadedLatencySetup
+quickMlc()
+{
+    LoadedLatencySetup setup;
+    setup.cores = 2;
+    setup.delayCycles = {0, 64, 512};
+    setup.warmup = nsToPicos(20'000.0);
+    setup.measure = nsToPicos(40'000.0);
+    setup.jobs = 2;
+    return setup;
+}
+
+/** End-to-end: the real characterization sweep under injected faults. */
+TEST_F(MeasureResilienceTest, CharacterizationSurvivesInjectedFaults)
+{
+    FreqScalingConfig cfg = quickSweep();
 
     const std::vector<std::string> ids = {"column_store"};
     auto clean = characterizeMany(ids, cfg);
@@ -414,24 +441,106 @@ TEST_F(MeasureResilienceTest, CharacterizationSurvivesInjectedFaults)
     // and the retried re-runs must be bit-identical to the clean run.
     fault::configure("runner.observe:throw:nth=3");
     cfg.resilience.maxRetries = 2;
-    ResilientCharacterizations r = characterizeManyResilient(ids, cfg);
+    FailureManifest manifest;
+    std::vector<Characterization> r = characterizeMany(ids, cfg, &manifest);
+    EXPECT_GT(fault::fireCount("runner.observe"), 0u);
     fault::reset();
 
-    EXPECT_TRUE(r.manifest.empty())
+    EXPECT_TRUE(manifest.empty())
         << "nth=3 faults with 2 retries must all recover: "
-        << r.manifest.summary(r.totalJobs);
-    ASSERT_EQ(r.results.size(), clean.size());
-    ASSERT_EQ(r.results[0].observations.size(),
-              clean[0].observations.size());
+        << manifest.summary(clean[0].observations.size());
+    ASSERT_EQ(r.size(), clean.size());
+    ASSERT_EQ(r[0].observations.size(), clean[0].observations.size());
     for (std::size_t i = 0; i < clean[0].observations.size(); ++i) {
-        EXPECT_EQ(r.results[0].observations[i].cpiEff,
+        EXPECT_EQ(r[0].observations[i].cpiEff,
                   clean[0].observations[i].cpiEff)
             << "observation " << i;
-        EXPECT_EQ(r.results[0].observations[i].mpCycles,
+        EXPECT_EQ(r[0].observations[i].mpCycles,
                   clean[0].observations[i].mpCycles);
     }
-    EXPECT_EQ(r.results[0].model.params.cpiCache,
-              clean[0].model.params.cpiCache);
+    EXPECT_EQ(r[0].model.params.cpiCache, clean[0].model.params.cpiCache);
+}
+
+/** characterize() (tab3, validateModel) honours cfg.resilience too. */
+TEST_F(MeasureResilienceTest, CharacterizeHonoursResilienceConfig)
+{
+    FreqScalingConfig cfg = quickSweep();
+    const Characterization clean = characterize("column_store", cfg);
+
+    fault::configure("runner.observe:throw:nth=3");
+    cfg.resilience.maxRetries = 2;
+    Characterization r;
+    ASSERT_NO_THROW(r = characterize("column_store", cfg));
+    EXPECT_GT(fault::fireCount("runner.observe"), 0u);
+    fault::reset();
+
+    ASSERT_EQ(r.observations.size(), clean.observations.size());
+    for (std::size_t i = 0; i < clean.observations.size(); ++i) {
+        const model::FitObservation &a = r.observations[i];
+        const model::FitObservation &b = clean.observations[i];
+        EXPECT_EQ(a.coreGhz, b.coreGhz) << "observation " << i;
+        EXPECT_EQ(a.memMtPerSec, b.memMtPerSec) << "observation " << i;
+        EXPECT_EQ(a.cpiEff, b.cpiEff) << "observation " << i;
+        EXPECT_EQ(a.mpi, b.mpi) << "observation " << i;
+        EXPECT_EQ(a.mpCycles, b.mpCycles) << "observation " << i;
+        EXPECT_EQ(a.mpki, b.mpki) << "observation " << i;
+        EXPECT_EQ(a.wbr, b.wbr) << "observation " << i;
+        EXPECT_EQ(a.instructions, b.instructions) << "observation " << i;
+    }
+    EXPECT_EQ(r.model.params.cpiCache, clean.model.params.cpiCache);
+    EXPECT_EQ(r.model.params.bf, clean.model.params.bf);
+}
+
+/** The strict default rethrows the job's own exception, no manifest. */
+TEST_F(MeasureResilienceTest, StrictSweepsRethrowTheOriginalFault)
+{
+    const std::vector<std::string> ids = {"column_store"};
+    FailureManifest manifest;
+    fault::configure("runner.observe:throw:nth=2");
+    EXPECT_THROW(characterizeMany(ids, quickSweep(), &manifest),
+                 fault::FaultInjected);
+    EXPECT_TRUE(manifest.empty());
+
+    fault::configure("loaded_latency.point:throw:nth=2");
+    EXPECT_THROW(sweepLoadedLatency(quickMlc(), &manifest),
+                 fault::FaultInjected);
+    EXPECT_TRUE(manifest.empty());
+
+    fault::configure("timeseries.capture:throw:nth=1");
+    TimeSeriesConfig ts;
+    ts.run.workloadId = "column_store";
+    ts.run.cores = 2;
+    ts.run.warmup = nsToPicos(20'000.0);
+    ts.run.adaptiveWarmup = false;
+    ts.interval = nsToPicos(20'000.0);
+    ts.samples = 2;
+    EXPECT_THROW(captureTimeSeriesBatch({ts, ts}, 2, {}, &manifest),
+                 fault::FaultInjected);
+    EXPECT_TRUE(manifest.empty());
+}
+
+/** With a knob set, the same faults are quarantined, not rethrown. */
+TEST_F(MeasureResilienceTest, QuarantinedLoadedLatencyPointsLeaveTheCurve)
+{
+    const LoadedLatencyCurve clean = sweepLoadedLatency(quickMlc());
+
+    LoadedLatencySetup setup = quickMlc();
+    setup.jobs = 1; // nth counts hits in order: point 1 fails
+    setup.resilience.jobTimeoutMs = 1e9;
+    fault::configure("loaded_latency.point:throw:nth=2");
+    FailureManifest manifest;
+    const LoadedLatencyCurve r = sweepLoadedLatency(setup, &manifest);
+    fault::reset();
+
+    ASSERT_EQ(manifest.failures.size(), 1u);
+    EXPECT_EQ(manifest.failures[0].jobIndex, 1u);
+    EXPECT_EQ(manifest.failures[0].errorType, "FaultInjected");
+    EXPECT_NE(manifest.failures[0].context.find("delay=64"),
+              std::string::npos)
+        << manifest.failures[0].context;
+    ASSERT_EQ(r.points.size(), 2u);
+    EXPECT_EQ(r.points[0].latencyNs, clean.points[0].latencyNs);
+    EXPECT_EQ(r.points[1].latencyNs, clean.points[2].latencyNs);
 }
 
 } // anonymous namespace

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "measure/runner.hh"
@@ -94,6 +95,11 @@ constexpr GoldenCounters kGolden[] = {
      1141ull, 0ull, 4ull, 6112337ll, 1500282ll,
      412797ull, 2141ull, 0ll, 88711120ll, 0ll, 329225312ll},
 };
+
+// Without this gtest prints the parameter as raw bytes, which start
+// with the `id` pointer; under ASLR that made the discovered ctest
+// names differ from build to build.
+void PrintTo(const GoldenCounters &g, std::ostream *os) { *os << g.id; }
 
 class SimEquivalence : public ::testing::TestWithParam<GoldenCounters>
 {

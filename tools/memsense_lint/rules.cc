@@ -425,12 +425,10 @@ checkUntracedSweepLoop(const FileContext &ctx, std::vector<Finding> &out)
         "mapIndicesResilient",
         "mapOrderedResilientCheckpointed",
         "characterizeMany",
-        "characterizeManyResilient",
         "characterizeAll",
         "sweepLoadedLatency",
-        "sweepLoadedLatencyResilient",
+        "sweepLoadedLatencyFamily",
         "captureTimeSeriesBatch",
-        "captureTimeSeriesBatchResilient",
     };
     const auto &toks = ctx.toks;
     bool observed = false;
