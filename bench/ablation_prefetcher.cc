@@ -19,32 +19,32 @@ using namespace memsense::bench;
 int
 main(int argc, char **argv)
 {
-    benchInit(argc, argv);
-    header("Ablation: prefetcher",
-           "Blocking factor with the stride prefetcher on vs. off");
+    return benchMain(argc, argv, [](const BenchArgs &) {
+        header("Ablation: prefetcher",
+               "Blocking factor with the stride prefetcher on vs. off");
 
-    measure::FreqScalingConfig cfg = sweepConfig(true);
-    Table t({"Workload", "BF (prefetch on)", "BF (prefetch off)",
-             "MPKI on", "MPKI off"});
-    std::vector<std::vector<double>> csv;
-    for (const char *id : {"bwaves", "column_store", "oltp"}) {
-        cfg.prefetcherEnabled = true;
-        auto on = measure::characterize(id, cfg);
-        cfg.prefetcherEnabled = false;
-        auto off = measure::characterize(id, cfg);
-        t.addRow({workloads::workloadInfo(id).display,
-                  formatDouble(on.model.params.bf, 3),
-                  formatDouble(off.model.params.bf, 3),
-                  formatDouble(on.model.params.mpki, 1),
-                  formatDouble(off.model.params.mpki, 1)});
-        csv.push_back({on.model.params.bf, off.model.params.bf,
-                       on.model.params.mpki, off.model.params.mpki});
-    }
-    t.setFootnote("\nPaper claim: prefetching lowers BF where access "
-                  "is regular (streaming bwaves) but cannot help "
-                  "dependent pointer chasing (OLTP).");
-    t.print(std::cout);
-    csvBlock("ablation_prefetcher",
-             {"bf_on", "bf_off", "mpki_on", "mpki_off"}, csv);
-    return 0;
+        measure::FreqScalingConfig cfg = sweepConfig(true);
+        Table t({"Workload", "BF (prefetch on)", "BF (prefetch off)",
+                 "MPKI on", "MPKI off"});
+        std::vector<std::vector<double>> csv;
+        for (const char *id : {"bwaves", "column_store", "oltp"}) {
+            cfg.prefetcherEnabled = true;
+            auto on = measure::characterize(id, cfg);
+            cfg.prefetcherEnabled = false;
+            auto off = measure::characterize(id, cfg);
+            t.addRow({workloads::workloadInfo(id).display,
+                      formatDouble(on.model.params.bf, 3),
+                      formatDouble(off.model.params.bf, 3),
+                      formatDouble(on.model.params.mpki, 1),
+                      formatDouble(off.model.params.mpki, 1)});
+            csv.push_back({on.model.params.bf, off.model.params.bf,
+                           on.model.params.mpki, off.model.params.mpki});
+        }
+        t.setFootnote("\nPaper claim: prefetching lowers BF where access "
+                      "is regular (streaming bwaves) but cannot help "
+                      "dependent pointer chasing (OLTP).");
+        t.print(std::cout);
+        csvBlock("ablation_prefetcher",
+                 {"bf_on", "bf_off", "mpki_on", "mpki_off"}, csv);
+    });
 }

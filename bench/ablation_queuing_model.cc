@@ -36,43 +36,43 @@ struct Variant
 int
 main(int argc, char **argv)
 {
-    benchInit(argc, argv);
-    header("Ablation: queuing model",
-           "Class sensitivities under different queuing-delay curves");
+    return benchMain(argc, argv, [](const BenchArgs &) {
+        header("Ablation: queuing model",
+               "Class sensitivities under different queuing-delay curves");
 
-    std::vector<Variant> variants;
-    variants.push_back(
-        {"no queuing", model::QueuingModel::analyticDefault(1e-6, 1e-6)});
-    variants.push_back(
-        {"default (linear+M/D/1)", model::QueuingModel::analyticDefault()});
-    variants.push_back(
-        {"steep (2x)", model::QueuingModel::analyticDefault(160.0, 14.0)});
+        std::vector<Variant> variants;
+        variants.push_back(
+            {"no queuing", model::QueuingModel::analyticDefault(1e-6, 1e-6)});
+        variants.push_back({"default (linear+M/D/1)",
+                            model::QueuingModel::analyticDefault()});
+        variants.push_back(
+            {"steep (2x)", model::QueuingModel::analyticDefault(160.0, 14.0)});
 
-    model::Platform base = model::Platform::paperBaseline();
-    Table t({"queuing curve", "class", "+10ns CPI impact",
-             "BW equiv of 10 ns", "baseline CPI"});
-    std::vector<std::vector<double>> csv;
-    for (const auto &v : variants) {
-        model::Solver solver(v.queuing);
-        model::SensitivityAnalyzer an(solver, base);
-        model::EquivalenceAnalyzer eq(solver, base);
-        for (const auto &p : model::paper::classParams()) {
-            auto sweep = an.latencySweep(p, 10.0, 10.0);
-            double d10 = sweep.back().cpiIncreaseFrac * 100.0;
-            double equiv = eq.bandwidthEquivalentOfLatency(p);
-            t.addRow({v.name, p.name, formatPercent(d10 / 100.0, 2),
-                      std::isinf(equiv) ? "none"
-                                        : formatDouble(equiv, 1),
-                      formatDouble(an.baselinePoint(p).cpiEff, 3)});
-            csv.push_back({d10, std::isinf(equiv) ? -1.0 : equiv,
-                           an.baselinePoint(p).cpiEff});
+        model::Platform base = model::Platform::paperBaseline();
+        Table t({"queuing curve", "class", "+10ns CPI impact",
+                 "BW equiv of 10 ns", "baseline CPI"});
+        std::vector<std::vector<double>> csv;
+        for (const auto &v : variants) {
+            model::Solver solver(v.queuing);
+            model::SensitivityAnalyzer an(solver, base);
+            model::EquivalenceAnalyzer eq(solver, base);
+            for (const auto &p : model::paper::classParams()) {
+                auto sweep = an.latencySweep(p, 10.0, 10.0);
+                double d10 = sweep.back().cpiIncreaseFrac * 100.0;
+                double equiv = eq.bandwidthEquivalentOfLatency(p);
+                t.addRow({v.name, p.name, formatPercent(d10 / 100.0, 2),
+                          std::isinf(equiv) ? "none"
+                                            : formatDouble(equiv, 1),
+                          formatDouble(an.baselinePoint(p).cpiEff, 3)});
+                csv.push_back({d10, std::isinf(equiv) ? -1.0 : equiv,
+                               an.baselinePoint(p).cpiEff});
+            }
         }
-    }
-    t.setFootnote("\nTakeaway: the latency slopes (Fig. 11) barely "
-                  "move; the bandwidth-latency equivalence (Table 7) "
-                  "hinges on the measured queuing curve.");
-    t.print(std::cout);
-    csvBlock("ablation_queuing",
-             {"d10_pct", "bw_equiv_gbps", "baseline_cpi"}, csv);
-    return 0;
+        t.setFootnote("\nTakeaway: the latency slopes (Fig. 11) barely "
+                      "move; the bandwidth-latency equivalence (Table 7) "
+                      "hinges on the measured queuing curve.");
+        t.print(std::cout);
+        csvBlock("ablation_queuing",
+                 {"d10_pct", "bw_equiv_gbps", "baseline_cpi"}, csv);
+    });
 }

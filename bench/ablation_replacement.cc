@@ -38,91 +38,91 @@ policyName(sim::ReplacementKind k)
 int
 main(int argc, char **argv)
 {
-    benchInit(argc, argv);
-    header("Ablation: LLC replacement",
-           "Fitted MPKI / BF under LRU vs. random vs. SRRIP "
-           "replacement");
+    return benchMain(argc, argv, [](const BenchArgs &args) {
+        header("Ablation: LLC replacement",
+               "Fitted MPKI / BF under LRU vs. random vs. SRRIP "
+               "replacement");
 
-    // Always the fast sweep windows (this ablation needs relative MPKI
-    // movement, not paper-grade absolutes), but honor --jobs.
-    measure::FreqScalingConfig cfg = sweepConfig(true);
-    cfg.jobs = jobsArg(argc, argv);
-    cfg.coreGhz = {2.1, 3.1};
+        // Always the fast sweep windows (this ablation needs relative MPKI
+        // movement, not paper-grade absolutes), but honor --jobs.
+        measure::FreqScalingConfig cfg = sweepConfig(true);
+        cfg.jobs = args.jobs;
+        cfg.coreGhz = {2.1, 3.1};
 
-    const std::vector<const char *> ids = {"column_store", "web_caching",
-                                           "bwaves"};
-    const std::vector<sim::ReplacementKind> policies = {
-        sim::ReplacementKind::Lru, sim::ReplacementKind::Random,
-        sim::ReplacementKind::Srrip};
+        const std::vector<const char *> ids = {"column_store", "web_caching",
+                                               "bwaves"};
+        const std::vector<sim::ReplacementKind> policies = {
+            sim::ReplacementKind::Lru, sim::ReplacementKind::Random,
+            sim::ReplacementKind::Srrip};
 
-    // Flatten the full (workload, policy, ghz, MT/s) grid into one job
-    // list so the executor keeps every worker busy across cells; the
-    // ordered results slice back per (workload, policy) cell below.
-    // characterize() builds RunConfigs internally, so rebuild them here
-    // with the replacement policy threaded through.
-    std::vector<measure::RunConfig> grid;
-    for (const char *id : ids) {
-        const auto &info = workloads::workloadInfo(id);
-        for (auto policy : policies) {
-            for (double ghz : cfg.coreGhz) {
-                for (double mt : cfg.memMtPerSec) {
-                    measure::RunConfig rc;
-                    rc.workloadId = id;
-                    rc.cores = info.characterizationCores;
-                    rc.ghz = ghz;
-                    rc.memMtPerSec = mt;
-                    rc.warmup = cfg.warmup;
-                    rc.measure = cfg.measure;
-                    rc.adaptiveWarmup = cfg.adaptiveWarmup;
-                    rc.llcReplacement = policy;
-                    grid.push_back(rc);
+        // Flatten the full (workload, policy, ghz, MT/s) grid into one job
+        // list so the executor keeps every worker busy across cells; the
+        // ordered results slice back per (workload, policy) cell below.
+        // characterize() builds RunConfigs internally, so rebuild them here
+        // with the replacement policy threaded through.
+        std::vector<measure::RunConfig> grid;
+        for (const char *id : ids) {
+            const auto &info = workloads::workloadInfo(id);
+            for (auto policy : policies) {
+                for (double ghz : cfg.coreGhz) {
+                    for (double mt : cfg.memMtPerSec) {
+                        measure::RunConfig rc;
+                        rc.workloadId = id;
+                        rc.cores = info.characterizationCores;
+                        rc.ghz = ghz;
+                        rc.memMtPerSec = mt;
+                        rc.warmup = cfg.warmup;
+                        rc.measure = cfg.measure;
+                        rc.adaptiveWarmup = cfg.adaptiveWarmup;
+                        rc.llcReplacement = policy;
+                        grid.push_back(rc);
+                    }
                 }
             }
         }
-    }
 
-    measure::ParallelExecutor exec(cfg.jobs);
-    std::vector<model::FitObservation> observations;
-    {
-        measure::PhaseTimer phase("sweep");
-        observations = exec.mapOrdered(grid, measure::runObservation);
-    }
-
-    const std::size_t per_cell =
-        cfg.coreGhz.size() * cfg.memMtPerSec.size();
-    Table t({"workload", "policy", "MPKI", "BF", "WBR"});
-    std::vector<std::vector<double>> csv;
-    std::size_t cell = 0;
-    for (const char *id : ids) {
-        const auto &info = workloads::workloadInfo(id);
-        for (auto policy : policies) {
-            measure::Characterization c;
-            c.workloadId = id;
-            auto first = observations.begin() +
-                         static_cast<std::ptrdiff_t>(cell * per_cell);
-            c.observations.assign(
-                first, first + static_cast<std::ptrdiff_t>(per_cell));
-            ++cell;
-            c.model =
-                model::fitModel(info.display, info.cls, c.observations);
-            t.addRow({info.display, policyName(policy),
-                      formatDouble(c.model.params.mpki, 2),
-                      formatDouble(c.model.params.bf, 3),
-                      formatPercent(c.model.params.wbr, 0)});
-            csv.push_back({static_cast<double>(policy),
-                           c.model.params.mpki, c.model.params.bf,
-                           c.model.params.wbr});
+        measure::ParallelExecutor exec(cfg.jobs);
+        std::vector<model::FitObservation> observations;
+        {
+            measure::PhaseTimer phase("sweep");
+            observations = exec.mapOrdered(grid, measure::runObservation);
         }
-    }
-    t.setFootnote("\nFinding: with the paper-sized LLC (2.5 MB/core) "
-                  "the hot reuse sets fit with headroom, so the "
-                  "policy moves MPKI by only ~1-2% even for the "
-                  "reuse-heavy workloads and not at all for the "
-                  "streaming kernel — the Table 2/4 signatures are "
-                  "robust to the replacement policy, which is why "
-                  "the paper never needed to specify it.");
-    t.print(std::cout);
-    csvBlock("ablation_replacement", {"policy", "mpki", "bf", "wbr"},
-             csv);
-    return 0;
+
+        const std::size_t per_cell =
+            cfg.coreGhz.size() * cfg.memMtPerSec.size();
+        Table t({"workload", "policy", "MPKI", "BF", "WBR"});
+        std::vector<std::vector<double>> csv;
+        std::size_t cell = 0;
+        for (const char *id : ids) {
+            const auto &info = workloads::workloadInfo(id);
+            for (auto policy : policies) {
+                measure::Characterization c;
+                c.workloadId = id;
+                auto first = observations.begin() +
+                             static_cast<std::ptrdiff_t>(cell * per_cell);
+                c.observations.assign(
+                    first, first + static_cast<std::ptrdiff_t>(per_cell));
+                ++cell;
+                c.model =
+                    model::fitModel(info.display, info.cls, c.observations);
+                t.addRow({info.display, policyName(policy),
+                          formatDouble(c.model.params.mpki, 2),
+                          formatDouble(c.model.params.bf, 3),
+                          formatPercent(c.model.params.wbr, 0)});
+                csv.push_back({static_cast<double>(policy),
+                               c.model.params.mpki, c.model.params.bf,
+                               c.model.params.wbr});
+            }
+        }
+        t.setFootnote("\nFinding: with the paper-sized LLC (2.5 MB/core) "
+                      "the hot reuse sets fit with headroom, so the "
+                      "policy moves MPKI by only ~1-2% even for the "
+                      "reuse-heavy workloads and not at all for the "
+                      "streaming kernel — the Table 2/4 signatures are "
+                      "robust to the replacement policy, which is why "
+                      "the paper never needed to specify it.");
+        t.print(std::cout);
+        csvBlock("ablation_replacement", {"policy", "mpki", "bf", "wbr"},
+                 csv);
+    });
 }

@@ -21,55 +21,55 @@ using namespace memsense::bench;
 int
 main(int argc, char **argv)
 {
-    benchInit(argc, argv);
-    header("Ablation: SMT demand scaling",
-           "Class behavior with Eq. 4 demand scaled by physical cores "
-           "(smt=1) vs. hardware threads (smt=2, the paper's "
-           "footnote 1)");
+    return benchMain(argc, argv, [](const BenchArgs &) {
+        header("Ablation: SMT demand scaling",
+               "Class behavior with Eq. 4 demand scaled by physical cores "
+               "(smt=1) vs. hardware threads (smt=2, the paper's "
+               "footnote 1)");
 
-    model::Solver solver;
-    Table t({"class", "smt", "unthrottled demand (GB/s)", "CPI",
-             "BW bound", "+10ns impact"});
-    std::vector<std::vector<double>> csv;
-    for (int smt : {1, 2}) {
-        model::Platform plat = model::Platform::paperBaseline();
-        plat.smt = smt;
-        for (const auto &p : model::paper::classParams()) {
-            // memsense-lint: allow(no-uncached-batch-solve): every
-            // (smt, class, latency) point is solved exactly once
-            model::OperatingPoint op = solver.solve(p, plat);
-            // Demand at the compulsory-latency CPI (no queue feedback).
-            double cpi0 = model::effectiveCpi(
-                p, plat.nsToCycles(plat.memory.compulsoryNs));
-            double demand = model::bandwidthDemandTotal(
-                p, cpi0, plat.cyclesPerSecond(),
-                plat.hardwareThreads());
+        model::Solver solver;
+        Table t({"class", "smt", "unthrottled demand (GB/s)", "CPI",
+                 "BW bound", "+10ns impact"});
+        std::vector<std::vector<double>> csv;
+        for (int smt : {1, 2}) {
+            model::Platform plat = model::Platform::paperBaseline();
+            plat.smt = smt;
+            for (const auto &p : model::paper::classParams()) {
+                // memsense-lint: allow(no-uncached-batch-solve): every
+                // (smt, class, latency) point is solved exactly once
+                model::OperatingPoint op = solver.solve(p, plat);
+                // Demand at the compulsory-latency CPI (no queue feedback).
+                double cpi0 = model::effectiveCpi(
+                    p, plat.nsToCycles(plat.memory.compulsoryNs));
+                double demand = model::bandwidthDemandTotal(
+                    p, cpi0, plat.cyclesPerSecond(),
+                    plat.hardwareThreads());
 
-            model::Platform slower = plat;
-            slower.memory = plat.memory.withCompulsoryNs(85.0);
-            double d10 =
-                (solver.solve(p, slower).cpiEff / op.cpiEff - 1.0) *
-                100.0;
+                model::Platform slower = plat;
+                slower.memory = plat.memory.withCompulsoryNs(85.0);
+                double d10 =
+                    (solver.solve(p, slower).cpiEff / op.cpiEff - 1.0) *
+                    100.0;
 
-            t.addRow({p.name, std::to_string(smt),
-                      formatDouble(demand / 1e9, 1),
-                      formatDouble(op.cpiEff, 3),
-                      op.bandwidthBound ? "yes" : "no",
-                      formatPercent(d10 / 100.0, 2)});
-            csv.push_back({static_cast<double>(smt), demand / 1e9,
-                           op.cpiEff, op.bandwidthBound ? 1.0 : 0.0,
-                           d10});
+                t.addRow({p.name, std::to_string(smt),
+                          formatDouble(demand / 1e9, 1),
+                          formatDouble(op.cpiEff, 3),
+                          op.bandwidthBound ? "yes" : "no",
+                          formatPercent(d10 / 100.0, 2)});
+                csv.push_back({static_cast<double>(smt), demand / 1e9,
+                               op.cpiEff, op.bandwidthBound ? 1.0 : 0.0,
+                               d10});
+            }
         }
-    }
-    t.setFootnote(strformat(
-        "\nEffective supply: %.1f GB/s. With smt=1 the HPC demand "
-        "barely grazes it (borderline regime, residual latency "
-        "sensitivity); with smt=2 HPC is decisively bandwidth bound "
-        "and latency-flat — the paper's reported behavior.",
-        model::Platform::paperBaseline()
-            .memory.effectiveBandwidthGBps()));
-    t.print(std::cout);
-    csvBlock("ablation_smt",
-             {"smt", "demand_gbps", "cpi", "bw_bound", "d10_pct"}, csv);
-    return 0;
+        t.setFootnote(strformat(
+            "\nEffective supply: %.1f GB/s. With smt=1 the HPC demand "
+            "barely grazes it (borderline regime, residual latency "
+            "sensitivity); with smt=2 HPC is decisively bandwidth bound "
+            "and latency-flat — the paper's reported behavior.",
+            model::Platform::paperBaseline()
+                .memory.effectiveBandwidthGBps()));
+        t.print(std::cout);
+        csvBlock("ablation_smt",
+                 {"smt", "demand_gbps", "cpi", "bw_bound", "d10_pct"}, csv);
+    });
 }

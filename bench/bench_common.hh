@@ -12,7 +12,6 @@
 #ifndef MEMSENSE_BENCH_BENCH_COMMON_HH
 #define MEMSENSE_BENCH_BENCH_COMMON_HH
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -24,6 +23,7 @@
 
 #include "measure/metrics.hh"
 #include "measure/resilience.hh"
+#include "util/cli.hh"
 #include "util/csv.hh"
 #include "util/error.hh"
 #include "util/fault_injection.hh"
@@ -59,13 +59,13 @@ atomicWriteFile(const std::string &path, const std::string &content)
 
 /**
  * The --out-dir destination for CSV/JSON artifacts ("" = stdout only).
- * One slot per process, set once by benchInit().
+ * One slot per process, set once by benchMain().
  */
 inline std::string &
 outDir()
 {
     // memsense-lint: allow(mutable-global-state): process-wide output
-    // destination, written once during argv parsing in benchInit()
+    // destination, written once during argv parsing in benchMain()
     // before any worker thread exists.
     static std::string dir;
     return dir;
@@ -73,13 +73,13 @@ outDir()
 
 /**
  * The experiment id naming this process's observability artifacts
- * (basename of argv[0], e.g. "fig03_cpi_fits"). Set by benchInit().
+ * (basename of argv[0], e.g. "fig03_cpi_fits"). Set by benchMain().
  */
 inline std::string &
 experimentId()
 {
     // memsense-lint: allow(mutable-global-state): process-wide
-    // experiment name, written once during argv parsing in benchInit()
+    // experiment name, written once during argv parsing in benchMain()
     // before any worker thread exists.
     static std::string id = "bench";
     return id;
@@ -89,7 +89,7 @@ experimentId()
  * Flush observability artifacts: with --metrics, write
  * `<out-dir>/<exp>.metrics.json` (schema memsense.metrics.v1); with
  * --trace PATH, finalize the Chrome trace file. Registered via
- * std::atexit by benchInit() so every exit path of every driver
+ * std::atexit by benchMain() so every exit path of every driver
  * flushes; safe to also call explicitly (flushing twice just rewrites
  * the same snapshot).
  */
@@ -142,166 +142,141 @@ csvBlock(const std::string &name,
         atomicWriteFile(outDir() + "/" + name + ".csv", csv.str());
 }
 
-/** Shorten noisy logging for bench runs unless asked otherwise. */
+/**
+ * The common experiment flags, parsed once by benchMain(). The
+ * fault-tolerance flags default off, which keeps the strict
+ * first-error-aborts behavior of the measure/ sweeps; --jobs never
+ * changes a result (measure/parallel.hh).
+ */
+struct BenchArgs
+{
+    const CliParser &cli; ///< the driver's own flags and positionals
+    bool fast;
+    int jobs;
+    measure::ResilienceConfig resilience;
+};
+
+/** What one bench binary adds to the common command line. */
+struct BenchSpec
+{
+    /** Registers the binary's own flags on the shared parser. */
+    void (*declare)(CliParser &) = nullptr;
+    /** Accepts positional arguments (otherwise a stray one exits 2). */
+    bool positional = false;
+    /** Declares the experiment flags; perf_suite takes only the
+     *  logging pair. */
+    bool experiment = true;
+    const char *summary = "memsense reproduction bench (see DESIGN.md)";
+};
+
+/** Declare the common set on @p cli. */
 inline void
-quietLogs(int argc, char **argv)
+addCommonFlags(CliParser &cli, bool experiment)
 {
-    setLogLevel(LogLevel::Info);
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--quiet")
-            setLogLevel(LogLevel::Warn);
-        if (std::string(argv[i]) == "--debug")
-            setLogLevel(LogLevel::Debug);
-    }
-}
-
-/** True when the user passed --fast (smaller simulation windows). */
-inline bool
-fastMode(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--fast")
-            return true;
-    return false;
-}
-
-/**
- * Worker count from --jobs N / --jobs=N.
- *
- * Default 1 (the serial reference path); 0 means one worker per
- * hardware thread. Sweep results are identical for any value — the
- * engine collects results in input order (measure/parallel.hh).
- */
-inline int
-jobsArg(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--jobs" && i + 1 < argc)
-            return std::atoi(argv[i + 1]);
-        if (arg.rfind("--jobs=", 0) == 0)
-            return std::atoi(arg.c_str() + 7);
-    }
-    return 1;
-}
-
-/** One `--flag VALUE` / `--flag=VALUE` string argument, or "". */
-inline std::string
-stringArg(int argc, char **argv, const std::string &flag)
-{
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == flag && i + 1 < argc)
-            return argv[i + 1];
-        if (arg.rfind(flag + "=", 0) == 0)
-            return arg.substr(flag.size() + 1);
-    }
-    return "";
-}
-
-/** True when @p flag appears as `--flag`, `--flag VALUE` or `--flag=VALUE`. */
-inline bool
-hasFlag(int argc, char **argv, const std::string &flag)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == flag || arg.rfind(flag + "=", 0) == 0)
-            return true;
-    }
-    return false;
-}
-
-/** Bad command line: one-line error on stderr, exit 2, no work done. */
-[[noreturn]] inline void
-flagError(const std::string &message)
-{
-    std::fprintf(stderr, "%s: %s\n", experimentId().c_str(),
-                 message.c_str());
-    std::exit(2);
+    cli.addBool("quiet", "warnings and errors only");
+    cli.addBool("debug", "debug logging");
+    if (!experiment)
+        return;
+    cli.addBool("fast", "smaller simulation windows");
+    cli.addInt("jobs", 1,
+               "sweep workers, 0 = one per hardware thread; results "
+               "are identical for any value");
+    cli.addString("out-dir", "",
+                  "also write each CSV (and failure/metrics JSON) here");
+    cli.addString("trace", "", "write a Chrome trace of every span here");
+    cli.addBool("metrics", "write <out-dir>/<exp>.metrics.json");
+    cli.addInt("max-retries", 0, "retry a failing job up to N (0..9999) "
+                                 "extra times");
+    cli.addDouble("job-timeout-ms", 0.0,
+                  "per-job wall-clock budget across retries (0 = none)");
+    cli.addString("checkpoint", "",
+                  "append-only journal; rerun with the same path (and "
+                  "sweep settings) to resume");
 }
 
 /**
- * Fault-tolerance settings from the standard bench flags:
- *
- *   --max-retries N     retry each failing job up to N extra times
- *   --job-timeout-ms N  per-job wall-clock budget across retries
- *   --checkpoint PATH   append-only journal; rerun with the same PATH
- *                       (and the same sweep settings) to resume
- *
- * All default off, which keeps the strict first-error-aborts behavior
- * of the measure/ sweeps. A malformed value exits 2 (flagError()).
+ * Apply the parsed common flags: logging, --out-dir, the
+ * observability switches (docs/observability.md) and MEMSENSE_FAULTS
+ * (util/fault_injection.hh). Throws ConfigError, before any
+ * simulation, on a stray positional, a bad --out-dir (empty, missing,
+ * or not a directory) or an out-of-range fault-tolerance flag.
  */
-inline measure::ResilienceConfig
-resilienceArgs(int argc, char **argv)
+inline BenchArgs
+applyCommonFlags(const CliParser &cli, const BenchSpec &spec)
 {
-    measure::ResilienceConfig rc;
-    if (hasFlag(argc, argv, "--max-retries")) {
-        const std::string text = stringArg(argc, argv, "--max-retries");
-        if (text.empty() || text.size() > 4 ||
-            text.find_first_not_of("0123456789") != std::string::npos)
-            flagError("--max-retries needs a whole number up to 9999, "
-                      "got '" + text + "'");
-        rc.maxRetries = std::stoi(text);
+    setLogLevel(cli.getBool("debug")   ? LogLevel::Debug
+                : cli.getBool("quiet") ? LogLevel::Warn
+                                       : LogLevel::Info);
+    if (!spec.positional && !cli.positional().empty())
+        throw ConfigError("unexpected argument '" + cli.positional()[0] +
+                          "'");
+    BenchArgs args{cli, false, 1, {}};
+    if (spec.experiment) {
+        args.fast = cli.getBool("fast");
+        args.jobs = cli.getInt("jobs");
+        outDir() = cli.getString("out-dir");
+        std::error_code ec;
+        requireConfig(!cli.isSet("out-dir") ||
+                          std::filesystem::is_directory(outDir(), ec),
+                      "--out-dir '" + outDir() + "' is not a directory");
+        measure::ResilienceConfig &rc = args.resilience;
+        rc.maxRetries = cli.getInt("max-retries");
+        requireConfig(rc.maxRetries >= 0 && rc.maxRetries <= 9999,
+                      "--max-retries needs a whole number up to 9999");
+        rc.jobTimeoutMs = cli.getDouble("job-timeout-ms");
+        requireConfig(rc.jobTimeoutMs >= 0.0,
+                      "--job-timeout-ms needs a non-negative number");
+        rc.checkpointPath = cli.getString("checkpoint");
+        requireConfig(!cli.isSet("checkpoint") || !rc.checkpointPath.empty(),
+                      "--checkpoint needs a journal path");
+        const std::string trace_path = cli.getString("trace");
+        if (!trace_path.empty())
+            trace::startTracing(trace_path);
+        trace::setStatsEnabled(cli.getBool("metrics"));
+        if (!trace_path.empty() || cli.getBool("metrics"))
+            std::atexit(flushObservability);
     }
-    if (hasFlag(argc, argv, "--job-timeout-ms")) {
-        const std::string text = stringArg(argc, argv, "--job-timeout-ms");
-        char *end = nullptr;
-        rc.jobTimeoutMs = std::strtod(text.c_str(), &end);
-        if (text.empty() || *end != '\0' || !(rc.jobTimeoutMs >= 0.0) ||
-            !std::isfinite(rc.jobTimeoutMs))
-            flagError("--job-timeout-ms needs a non-negative number, got '" +
-                      text + "'");
-    }
-    rc.checkpointPath = stringArg(argc, argv, "--checkpoint");
-    if (hasFlag(argc, argv, "--checkpoint") && rc.checkpointPath.empty())
-        flagError("--checkpoint needs a journal path");
-    return rc;
-}
-
-/**
- * Standard bench start-up: logging flags, --out-dir, MEMSENSE_FAULTS
- * (the deterministic fault-injection harness, util/fault_injection.hh),
- * and the observability switches (docs/observability.md):
- *
- *   --trace PATH  record a Chrome trace_event JSON of every sweep
- *                 span to PATH (open in chrome://tracing or Perfetto)
- *   --metrics     write `<out-dir>/<exp>.metrics.json` with counters,
- *                 gauges, span stats, and value distributions
- *
- * A bad --out-dir (empty, missing, or not a directory) or a malformed
- * fault-tolerance flag exits 2 here, before any simulation runs.
- */
-inline void
-benchInit(int argc, char **argv)
-{
-    quietLogs(argc, argv);
-    if (argc > 0 && argv[0] && argv[0][0]) {
-        std::string exe = argv[0];
-        std::size_t slash = exe.find_last_of('/');
-        experimentId() =
-            slash == std::string::npos ? exe : exe.substr(slash + 1);
-    }
-    outDir() = stringArg(argc, argv, "--out-dir");
-    std::error_code ec;
-    if (hasFlag(argc, argv, "--out-dir") &&
-        !std::filesystem::is_directory(outDir(), ec))
-        flagError("--out-dir '" + outDir() + "' is not a directory");
-    resilienceArgs(argc, argv); // validated now; drivers re-read it
-    bool observing = false;
-    const std::string trace_path = stringArg(argc, argv, "--trace");
-    if (!trace_path.empty()) {
-        trace::startTracing(trace_path);
-        observing = true;
-    }
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--metrics") {
-            trace::setStatsEnabled(true);
-            observing = true;
-        }
-    }
-    if (observing)
-        std::atexit(flushObservability);
     fault::configureFromEnv();
+    return args;
+}
+
+/**
+ * The `main` of every bench binary: declare the common flags plus
+ * @p spec's own on one CliParser, parse argv once, apply them, then
+ * run @p body (callable with `const BenchArgs &`). The one owner of
+ * the exit codes:
+ *
+ *   0  success, or --help (usage on stdout, no work done)
+ *   1  any other std::exception escaping @p body
+ *   2  a bad command line, before any work: unknown flag, missing or
+ *      malformed value, stray positional, bad --out-dir, out-of-range
+ *      fault-tolerance flag; or a ConfigError escaping @p body
+ *
+ * Errors print one line, `<exp>: <what>`, on stderr.
+ */
+template <typename Body>
+int
+benchMain(int argc, char **argv, Body body, const BenchSpec &spec = {})
+{
+    if (argc > 0 && argv[0] && argv[0][0])
+        experimentId() =
+            std::filesystem::path(argv[0]).filename().string();
+    CliParser cli(experimentId(), spec.summary);
+    addCommonFlags(cli, spec.experiment);
+    if (spec.declare)
+        spec.declare(cli);
+    if (!cli.parse(argc, argv))
+        return cli.getBool("help") ? 0 : 2;
+    try {
+        body(applyCommonFlags(cli, spec));
+        return 0;
+    } catch (const ConfigError &e) {
+        std::fprintf(stderr, "%s: %s\n", experimentId().c_str(), e.what());
+        return 2;
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "%s: %s\n", experimentId().c_str(), e.what());
+        return 1;
+    }
 }
 
 /**

@@ -11,8 +11,6 @@
  * Usage: calibrate_workloads [workload_id ...]
  */
 
-#include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -24,6 +22,7 @@
 #include "util/table.hh"
 
 using namespace memsense;
+using namespace memsense::bench;
 
 namespace
 {
@@ -50,38 +49,28 @@ printRow(Table &t, const measure::Characterization &c)
 int
 main(int argc, char **argv)
 {
-    bench::benchInit(argc, argv);
-    setLogLevel(LogLevel::Warn); // diagnostic tool: quiet by default
-    measure::FreqScalingConfig cfg;
+    const BenchSpec spec{
+        .positional = true,
+        .summary = "fit workloads against the paper targets "
+                   "(positional: workload ids, default all)"};
+    return benchMain(argc, argv, [](const BenchArgs &args) {
+        setLogLevel(LogLevel::Warn); // diagnostic tool: quiet by default
+        measure::FreqScalingConfig cfg;
+        cfg.jobs = args.jobs;
+        const std::vector<std::string> &ids = args.cli.positional();
+        for (const std::string &id : ids)
+            workloads::workloadInfo(id); // a bad id fails before any run
 
-    Table t({"workload", "CPI_cache (got/target)", "BF (got/target)",
-             "MPKI (got/target)", "WBR (got/target)", "R^2"});
-    t.setTitle("Workload calibration: fitted vs. paper targets");
-
-    std::vector<std::string> ids;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--jobs" && i + 1 < argc) {
-            cfg.jobs = std::atoi(argv[++i]);
-            continue;
-        }
-        if (arg.rfind("--jobs=", 0) == 0) {
-            cfg.jobs = std::atoi(arg.c_str() + 7);
-            continue;
-        }
-        if (!arg.empty() && arg[0] != '-')
-            ids.push_back(arg); // flags (--quiet etc.) are not ids
-    }
-    {
-        measure::PhaseTimer phase("sweep");
-        if (!ids.empty()) {
-            for (const auto &c : measure::characterizeMany(ids, cfg))
-                printRow(t, c);
-        } else {
-            for (const auto &c : measure::characterizeAll(cfg))
+        Table t({"workload", "CPI_cache (got/target)", "BF (got/target)",
+                 "MPKI (got/target)", "WBR (got/target)", "R^2"});
+        t.setTitle("Workload calibration: fitted vs. paper targets");
+        {
+            measure::PhaseTimer phase("sweep");
+            for (const auto &c : ids.empty()
+                                     ? measure::characterizeAll(cfg)
+                                     : measure::characterizeMany(ids, cfg))
                 printRow(t, c);
         }
-    }
-    t.print(std::cout);
-    return 0;
+        t.print(std::cout);
+    }, spec);
 }

@@ -34,15 +34,14 @@ sweepConfig(bool fast)
     return cfg;
 }
 
-/** Sweep settings from the bench flags (--fast, --jobs N, and the
- *  fault-tolerance flags --max-retries / --job-timeout-ms /
- *  --checkpoint). */
+/** Sweep settings from the common bench flags (--fast, --jobs N, and
+ *  the fault-tolerance flags). */
 inline measure::FreqScalingConfig
-sweepConfig(int argc, char **argv)
+sweepConfig(const BenchArgs &args)
 {
-    measure::FreqScalingConfig cfg = sweepConfig(fastMode(argc, argv));
-    cfg.jobs = jobsArg(argc, argv);
-    cfg.resilience = resilienceArgs(argc, argv);
+    measure::FreqScalingConfig cfg = sweepConfig(args.fast);
+    cfg.jobs = args.jobs;
+    cfg.resilience = args.resilience;
     return cfg;
 }
 

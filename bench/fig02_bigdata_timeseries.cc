@@ -16,13 +16,12 @@ int
 main(int argc, char **argv)
 {
     using namespace memsense::bench;
-    benchInit(argc, argv);
-    header("Figure 2",
-           "CPU utilization / CPI / memory bandwidth vs. time, big "
-           "data workloads (100 us virtual sampling interval)");
-    runTimeSeries("fig02",
-                  {"column_store", "nits", "proximity", "spark"},
-                  fastMode(argc, argv), jobsArg(argc, argv),
-                  resilienceArgs(argc, argv));
-    return 0;
+    return benchMain(argc, argv, [](const BenchArgs &args) {
+        header("Figure 2",
+               "CPU utilization / CPI / memory bandwidth vs. time, big "
+               "data workloads (100 us virtual sampling interval)");
+        runTimeSeries("fig02",
+                      {"column_store", "nits", "proximity", "spark"},
+                      args);
+    });
 }

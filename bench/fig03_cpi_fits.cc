@@ -18,14 +18,14 @@ int
 main(int argc, char **argv)
 {
     using namespace memsense::bench;
-    benchInit(argc, argv);
-    header("Figure 3",
-           "CPI vs. MPI*MP with Eq. 1 linear fits, big data workloads "
-           "(frequency-scaling grid: core {2.1,2.4,2.7,3.1} GHz x DDR3 "
-           "{1333,1867})");
-    auto chars = characterizeIds(
-        {"column_store", "nits", "proximity", "spark"},
-        sweepConfig(argc, argv), "fig03");
-    printFitScatter("fig03", chars);
-    return 0;
+    return benchMain(argc, argv, [](const BenchArgs &args) {
+        header("Figure 3",
+               "CPI vs. MPI*MP with Eq. 1 linear fits, big data workloads "
+               "(frequency-scaling grid: core {2.1,2.4,2.7,3.1} GHz x DDR3 "
+               "{1333,1867})");
+        auto chars = characterizeIds(
+            {"column_store", "nits", "proximity", "spark"},
+            sweepConfig(args), "fig03");
+        printFitScatter("fig03", chars);
+    });
 }

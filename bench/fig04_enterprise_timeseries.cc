@@ -15,13 +15,12 @@ int
 main(int argc, char **argv)
 {
     using namespace memsense::bench;
-    benchInit(argc, argv);
-    header("Figure 4",
-           "CPU utilization / CPI / memory bandwidth vs. time, "
-           "enterprise workloads (100 us virtual sampling interval)");
-    runTimeSeries("fig04",
-                  {"oltp", "jvm", "virtualization", "web_caching"},
-                  fastMode(argc, argv), jobsArg(argc, argv),
-                  resilienceArgs(argc, argv));
-    return 0;
+    return benchMain(argc, argv, [](const BenchArgs &args) {
+        header("Figure 4",
+               "CPU utilization / CPI / memory bandwidth vs. time, "
+               "enterprise workloads (100 us virtual sampling interval)");
+        runTimeSeries("fig04",
+                      {"oltp", "jvm", "virtualization", "web_caching"},
+                      args);
+    });
 }

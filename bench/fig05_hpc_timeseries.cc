@@ -14,12 +14,11 @@ int
 main(int argc, char **argv)
 {
     using namespace memsense::bench;
-    benchInit(argc, argv);
-    header("Figure 5",
-           "CPU utilization / CPI / memory bandwidth vs. time, HPC "
-           "proxies (100 us virtual sampling interval, 3 cores)");
-    runTimeSeries("fig05", {"bwaves", "milc", "soplex", "wrf"},
-                  fastMode(argc, argv), jobsArg(argc, argv),
-                  resilienceArgs(argc, argv));
-    return 0;
+    return benchMain(argc, argv, [](const BenchArgs &args) {
+        header("Figure 5",
+               "CPU utilization / CPI / memory bandwidth vs. time, HPC "
+               "proxies (100 us virtual sampling interval, 3 cores)");
+        runTimeSeries("fig05", {"bwaves", "milc", "soplex", "wrf"},
+                      args);
+    });
 }

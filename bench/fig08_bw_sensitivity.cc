@@ -23,47 +23,48 @@ using namespace memsense::bench;
 int
 main(int argc, char **argv)
 {
-    benchInit(argc, argv);
-    header("Figure 8",
-           "CPI increase vs. per-core bandwidth reduction, by class");
+    const BenchSpec spec{.declare = addMeasuredFlag};
+    return benchMain(argc, argv, [](const BenchArgs &args) {
+        header("Figure 8",
+               "CPI increase vs. per-core bandwidth reduction, by class");
 
-    model::Platform base = model::Platform::paperBaseline();
-    // Each class's sweep re-solves the shared baseline point; route
-    // all solves through the memoizing evaluator so repeats are hits.
-    serve::Evaluator eval(makeSolver(argc, argv));
-    model::SensitivityAnalyzer an(eval, base);
-    auto variants =
-        model::SensitivityAnalyzer::standardBandwidthVariants(base.memory);
+        model::Platform base = model::Platform::paperBaseline();
+        // Each class's sweep re-solves the shared baseline point; route
+        // all solves through the memoizing evaluator so repeats are hits.
+        serve::Evaluator eval(makeSolver(args));
+        model::SensitivityAnalyzer an(eval, base);
+        auto variants =
+            model::SensitivityAnalyzer::standardBandwidthVariants(base.memory);
 
-    for (const auto &p : classMixes()) {
-        auto sweep = an.bandwidthSweep(p, variants);
-        std::cout << "\n-- " << p.name << " --\n";
-        Table t({"memory config", "GB/s per core", "delta vs. base",
-                 "CPI", "CPI increase", "BW bound"});
-        std::vector<std::vector<double>> csv;
-        for (const auto &pt : sweep) {
-            t.addRow({pt.memory.describe(),
-                      formatDouble(pt.bwPerCoreGBps, 2),
-                      formatDouble(pt.bwDeltaPerCoreGBps, 2),
-                      formatDouble(pt.op.cpiEff, 3),
-                      formatPercent(pt.cpiIncreaseFrac, 1),
-                      pt.op.bandwidthBound ? "yes" : "no"});
-            csv.push_back({pt.bwPerCoreGBps, pt.bwDeltaPerCoreGBps,
-                           pt.op.cpiEff, pt.cpiIncreaseFrac,
-                           pt.op.bandwidthBound ? 1.0 : 0.0});
+        for (const auto &p : classMixes()) {
+            auto sweep = an.bandwidthSweep(p, variants);
+            std::cout << "\n-- " << p.name << " --\n";
+            Table t({"memory config", "GB/s per core", "delta vs. base",
+                     "CPI", "CPI increase", "BW bound"});
+            std::vector<std::vector<double>> csv;
+            for (const auto &pt : sweep) {
+                t.addRow({pt.memory.describe(),
+                          formatDouble(pt.bwPerCoreGBps, 2),
+                          formatDouble(pt.bwDeltaPerCoreGBps, 2),
+                          formatDouble(pt.op.cpiEff, 3),
+                          formatPercent(pt.cpiIncreaseFrac, 1),
+                          pt.op.bandwidthBound ? "yes" : "no"});
+                csv.push_back({pt.bwPerCoreGBps, pt.bwDeltaPerCoreGBps,
+                               pt.op.cpiEff, pt.cpiIncreaseFrac,
+                               pt.op.bandwidthBound ? 1.0 : 0.0});
+            }
+            t.print(std::cout);
+            csvBlock("fig08_" + p.name,
+                     {"bw_per_core", "delta", "cpi", "cpi_increase",
+                      "bw_bound"},
+                     csv);
         }
-        t.print(std::cout);
-        csvBlock("fig08_" + p.name,
-                 {"bw_per_core", "delta", "cpi", "cpi_increase",
-                  "bw_bound"},
-                 csv);
-    }
-    std::cout << "\nBaseline: " << base.describe() << "\n";
-    const serve::CacheStats cs = eval.cacheStats();
-    inform(strformat("evaluator cache: %llu hits / %llu misses "
-                     "(%zu distinct operating points)",
-                     static_cast<unsigned long long>(cs.hits),
-                     static_cast<unsigned long long>(cs.misses),
-                     cs.size));
-    return 0;
+        std::cout << "\nBaseline: " << base.describe() << "\n";
+        const serve::CacheStats cs = eval.cacheStats();
+        inform(strformat("evaluator cache: %llu hits / %llu misses "
+                         "(%zu distinct operating points)",
+                         static_cast<unsigned long long>(cs.hits),
+                         static_cast<unsigned long long>(cs.misses),
+                         cs.size));
+    }, spec);
 }

@@ -18,29 +18,31 @@ using namespace memsense::bench;
 int
 main(int argc, char **argv)
 {
-    benchInit(argc, argv);
-    header("Figure 9",
-           "Performance impact per GB/s/core vs. available bandwidth "
-           "per core (derivative of Fig. 8)");
+    const BenchSpec spec{.declare = addMeasuredFlag};
+    return benchMain(argc, argv, [](const BenchArgs &args) {
+        header("Figure 9",
+               "Performance impact per GB/s/core vs. available bandwidth "
+               "per core (derivative of Fig. 8)");
 
-    model::Platform base = model::Platform::paperBaseline();
-    model::SensitivityAnalyzer an(makeSolver(argc, argv), base);
-    auto variants =
-        model::SensitivityAnalyzer::standardBandwidthVariants(base.memory);
+        model::Platform base = model::Platform::paperBaseline();
+        model::SensitivityAnalyzer an(makeSolver(args), base);
+        auto variants =
+            model::SensitivityAnalyzer::standardBandwidthVariants(base.memory);
 
-    for (const auto &p : classMixes()) {
-        auto sweep = an.bandwidthSweep(p, variants);
-        auto deriv = model::SensitivityAnalyzer::bandwidthDerivative(sweep);
-        std::cout << "\n-- " << p.name << " --\n";
-        Table t({"available GB/s per core", "% CPI per GB/s/core"});
-        std::vector<std::vector<double>> csv;
-        for (const auto &d : deriv) {
-            t.addRow({formatDouble(d.x, 2), formatDouble(d.dCpiPct, 2)});
-            csv.push_back({d.x, d.dCpiPct});
+        for (const auto &p : classMixes()) {
+            auto sweep = an.bandwidthSweep(p, variants);
+            auto deriv =
+                model::SensitivityAnalyzer::bandwidthDerivative(sweep);
+            std::cout << "\n-- " << p.name << " --\n";
+            Table t({"available GB/s per core", "% CPI per GB/s/core"});
+            std::vector<std::vector<double>> csv;
+            for (const auto &d : deriv) {
+                t.addRow({formatDouble(d.x, 2), formatDouble(d.dCpiPct, 2)});
+                csv.push_back({d.x, d.dCpiPct});
+            }
+            t.print(std::cout);
+            csvBlock("fig09_" + p.name, {"bw_per_core", "pct_per_gbps"},
+                     csv);
         }
-        t.print(std::cout);
-        csvBlock("fig09_" + p.name, {"bw_per_core", "pct_per_gbps"},
-                 csv);
-    }
-    return 0;
+    }, spec);
 }

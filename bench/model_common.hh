@@ -19,6 +19,14 @@
 namespace memsense::bench
 {
 
+/** Declares --measured, the model benches' own flag. */
+inline void
+addMeasuredFlag(CliParser &cli)
+{
+    cli.addBool("measured", "derive the queuing model from an MLC sweep "
+                            "on the simulator (Fig. 7 procedure)");
+}
+
 /**
  * Build the solver; --measured derives the queuing curve via MLC.
  * With any fault-tolerance flag set, failing delay points are retried
@@ -26,29 +34,25 @@ namespace memsense::bench
  * family resumable.
  */
 inline model::Solver
-makeSolver(int argc, char **argv)
+makeSolver(const BenchArgs &args)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--measured") {
-            inform("measuring the queuing model on the simulator "
-                   "(Fig. 7 procedure) ...");
-            const measure::ResilienceConfig rc = resilienceArgs(argc, argv);
-            auto setups = measure::paperFig7Setups();
-            std::size_t points = 0;
-            for (auto &s : setups) {
-                s.delayCycles = {0, 8, 16, 32, 48, 96, 256, 1024};
-                s.measure = nsToPicos(250'000.0);
-                s.resilience = rc;
-                points += s.delayCycles.size();
-            }
-            measure::FailureManifest manifest;
-            model::Solver solver(measure::measureQueuingModel(
-                setups, 24, 0.95, &manifest));
-            reportFailures("mlc", manifest, points);
-            return solver;
-        }
+    if (!args.cli.getBool("measured"))
+        return model::Solver();
+    inform("measuring the queuing model on the simulator "
+           "(Fig. 7 procedure) ...");
+    auto setups = measure::paperFig7Setups();
+    std::size_t points = 0;
+    for (auto &s : setups) {
+        s.delayCycles = {0, 8, 16, 32, 48, 96, 256, 1024};
+        s.measure = nsToPicos(250'000.0);
+        s.resilience = args.resilience;
+        points += s.delayCycles.size();
     }
-    return model::Solver();
+    measure::FailureManifest manifest;
+    model::Solver solver(
+        measure::measureQueuingModel(setups, 24, 0.95, &manifest));
+    reportFailures("mlc", manifest, points);
+    return solver;
 }
 
 /** The three class-mean parameter sets (published Table 6 values). */

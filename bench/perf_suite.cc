@@ -34,13 +34,9 @@
  * reports medians to shave scheduler noise, but cross-machine
  * comparisons are only meaningful within one BENCH file's history.
  *
- * Usage:
- *   perf_suite [--repeats K] [--jobs-list 1,2] [--bin-dir DIR]
- *              [--out FILE] [--carry-baseline FILE]
- *              [--skip-microbench] [--benchmark-filter REGEX]
- *
- * `--help` prints the flags and exits 0; an unknown or malformed flag
- * exits 2. Neither runs anything or writes a file.
+ * `--help` prints the flags and exits 0; an unknown or malformed flag,
+ * or a bad `--jobs-list` entry, exits 2. Neither runs anything or
+ * writes a file.
  */
 
 #include <algorithm>
@@ -49,6 +45,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -445,15 +442,9 @@ appendServeBatchJson(std::ostringstream &out, const ServeBatchResult &r)
         << "  },\n";
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+void
+declareFlags(memsense::CliParser &cli)
 {
-    using namespace memsense;
-    CliParser cli("perf_suite",
-                  "measure the repo: end-to-end drivers, microbench "
-                  "kernels and the serve batch loop");
     cli.addInt("repeats", 3, "warm repeats per end-to-end config");
     cli.addString("jobs-list", "1,2", "comma-separated --jobs values");
     cli.addString("bin-dir", "",
@@ -465,20 +456,14 @@ main(int argc, char **argv)
                   "forward");
     cli.addBool("skip-microbench", "skip the google-benchmark kernels");
     cli.addString("benchmark-filter", "", "microbench filter regex");
-    cli.addBool("quiet", "warnings and errors only");
-    cli.addBool("debug", "debug logging");
-    if (!cli.parse(argc, argv))
-        return cli.getBool("help") ? 0 : 2;
-    if (!cli.positional().empty()) {
-        std::fprintf(stderr, "perf_suite: unexpected argument '%s'\n",
-                     cli.positional().front().c_str());
-        return 2;
-    }
-    bench::benchInit(argc, argv);
+}
 
+void
+run(const memsense::CliParser &cli, const std::string &self)
+{
+    using namespace memsense;
     std::string binDir = cli.getString("bin-dir");
     if (binDir.empty()) {
-        const std::string self = argv[0];
         const std::size_t slash = self.find_last_of('/');
         binDir = slash == std::string::npos ? "." : self.substr(0, slash);
     }
@@ -489,20 +474,25 @@ main(int argc, char **argv)
     const std::string filter = cli.getString("benchmark-filter");
     const bool skipMicro = cli.getBool("skip-microbench");
 
+    // Check every --jobs-list entry before anything touches the disk.
+    std::vector<E2eConfig> configs;
+    for (const std::string &tok : split(jobsList, ',')) {
+        char *end = nullptr;
+        const long j = std::strtol(tok.c_str(), &end, 10);
+        requireConfig(!tok.empty() && *end == '\0' && j >= 1 &&
+                          j <= std::numeric_limits<int>::max(),
+                      "--jobs-list entries must be whole numbers >= 1, "
+                      "got '" + tok + "'");
+        const int jobs = static_cast<int>(j);
+        configs.push_back({"fig03_cpi_fits", "--fast --quiet", jobs});
+        configs.push_back({"fig07_queuing_delay", "--fast --quiet", jobs});
+    }
+
     char scratchTemplate[] = "/tmp/memsense_perf_XXXXXX";
     const char *scratchC = mkdtemp(scratchTemplate);
     if (scratchC == nullptr)
         throw ConfigError("mkdtemp failed for the scratch directory");
     const std::string scratch = scratchC;
-
-    std::vector<E2eConfig> configs;
-    for (const std::string &tok : split(jobsList, ',')) {
-        const int j = std::atoi(tok.c_str());
-        if (j < 1)
-            throw ConfigError("--jobs-list entries must be >= 1");
-        configs.push_back({"fig03_cpi_fits", "--fast --quiet", j});
-        configs.push_back({"fig07_queuing_delay", "--fast --quiet", j});
-    }
 
     std::vector<E2eResult> results;
     for (const E2eConfig &cfg : configs)
@@ -539,17 +529,22 @@ main(int argc, char **argv)
         << (baseline.empty() ? "{}" : baseline) << "\n"
         << "}\n";
 
-    // Atomic write, same temp+rename discipline as the metrics file.
-    const std::string tmp = outPath + ".tmp";
-    {
-        std::ofstream f(tmp);
-        if (!f)
-            throw ConfigError("cannot write " + tmp);
-        f << out.str();
-    }
-    if (std::rename(tmp.c_str(), outPath.c_str()) != 0)
-        throw ConfigError("cannot rename " + tmp + " -> " + outPath);
+    bench::atomicWriteFile(outPath, out.str());
     std::fprintf(stderr, "perf_suite: wrote %s\n", outPath.c_str());
     std::system(("rm -rf " + scratch).c_str());
-    return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    const std::string self = argv[0];
+    const memsense::bench::BenchSpec spec{
+        .declare = declareFlags,
+        .experiment = false,
+        .summary = "measure the repo: end-to-end drivers, microbench "
+                   "kernels and the serve batch loop"};
+    return memsense::bench::benchMain(
+        argc, argv, [&self](const auto &args) { run(args.cli, self); }, spec);
 }

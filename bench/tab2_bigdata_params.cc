@@ -16,12 +16,12 @@ int
 main(int argc, char **argv)
 {
     using namespace memsense::bench;
-    benchInit(argc, argv);
-    header("Table 2", "Workload parameters for big data "
-                      "(fitted on the simulator vs. published)");
-    auto chars = characterizeIds(
-        {"column_store", "nits", "proximity", "spark"},
-        sweepConfig(argc, argv), "tab2");
-    printParamTable("tab2", chars);
-    return 0;
+    return benchMain(argc, argv, [](const BenchArgs &args) {
+        header("Table 2", "Workload parameters for big data "
+                          "(fitted on the simulator vs. published)");
+        auto chars = characterizeIds(
+            {"column_store", "nits", "proximity", "spark"},
+            sweepConfig(args), "tab2");
+        printParamTable("tab2", chars);
+    });
 }

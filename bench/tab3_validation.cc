@@ -62,22 +62,22 @@ printValidation(const std::string &title,
 int
 main(int argc, char **argv)
 {
-    benchInit(argc, argv);
-    header("Table 3",
-           "Computed vs. measured CPI for Structured Data");
+    return benchMain(argc, argv, [](const BenchArgs &args) {
+        header("Table 3",
+               "Computed vs. measured CPI for Structured Data");
 
-    // (a) The paper's own measured grid, re-fit by our pipeline.
-    auto paper_obs = model::paper::table3StructuredDataRuns();
-    model::FittedModel paper_fit = model::fitModel(
-        "Structured Data (paper grid)", model::WorkloadClass::BigData,
-        paper_obs);
-    printValidation("paper_grid", paper_fit, paper_obs);
+        // (a) The paper's own measured grid, re-fit by our pipeline.
+        auto paper_obs = model::paper::table3StructuredDataRuns();
+        model::FittedModel paper_fit = model::fitModel(
+            "Structured Data (paper grid)", model::WorkloadClass::BigData,
+            paper_obs);
+        printValidation("paper_grid", paper_fit, paper_obs);
 
-    // (b) The same exercise on the bundled simulator.
-    measure::FreqScalingConfig cfg = sweepConfig(argc, argv);
-    cfg.runsPerPoint = 2; // Table 3 used two runs per point
-    measure::Characterization c =
-        measure::characterize("column_store", cfg);
-    printValidation("simulator_grid", c.model, c.observations);
-    return 0;
+        // (b) The same exercise on the bundled simulator.
+        measure::FreqScalingConfig cfg = sweepConfig(args);
+        cfg.runsPerPoint = 2; // Table 3 used two runs per point
+        measure::Characterization c =
+            measure::characterize("column_store", cfg);
+        printValidation("simulator_grid", c.model, c.observations);
+    });
 }

@@ -17,12 +17,12 @@ int
 main(int argc, char **argv)
 {
     using namespace memsense::bench;
-    benchInit(argc, argv);
-    header("Table 4", "Workload parameters for enterprise "
-                      "(fitted on the simulator vs. inferred targets)");
-    auto chars = characterizeIds(
-        {"virtualization", "web_caching", "oltp", "jvm"},
-        sweepConfig(argc, argv), "tab4");
-    printParamTable("tab4", chars);
-    return 0;
+    return benchMain(argc, argv, [](const BenchArgs &args) {
+        header("Table 4", "Workload parameters for enterprise "
+                          "(fitted on the simulator vs. inferred targets)");
+        auto chars = characterizeIds(
+            {"virtualization", "web_caching", "oltp", "jvm"},
+            sweepConfig(args), "tab4");
+        printParamTable("tab4", chars);
+    });
 }

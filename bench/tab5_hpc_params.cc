@@ -16,11 +16,11 @@ int
 main(int argc, char **argv)
 {
     using namespace memsense::bench;
-    benchInit(argc, argv);
-    header("Table 5", "Workload parameters for HPC "
-                      "(fitted on the simulator vs. inferred targets)");
-    auto chars = characterizeIds({"bwaves", "milc", "soplex", "wrf"},
-                                 sweepConfig(argc, argv), "tab5");
-    printParamTable("tab5", chars);
-    return 0;
+    return benchMain(argc, argv, [](const BenchArgs &args) {
+        header("Table 5", "Workload parameters for HPC "
+                          "(fitted on the simulator vs. inferred targets)");
+        auto chars = characterizeIds({"bwaves", "milc", "soplex", "wrf"},
+                                     sweepConfig(args), "tab5");
+        printParamTable("tab5", chars);
+    });
 }

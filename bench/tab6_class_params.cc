@@ -51,20 +51,20 @@ printMeans(const std::string &title,
 int
 main(int argc, char **argv)
 {
-    benchInit(argc, argv);
-    header("Table 6", "Workload class parameters (core-bound members "
-                      "excluded from the means, per the paper)");
+    return benchMain(argc, argv, [](const BenchArgs &args) {
+        header("Table 6", "Workload class parameters (core-bound members "
+                          "excluded from the means, per the paper)");
 
-    printMeans("published_workload_tables",
-               model::paper::allWorkloadParams());
+        printMeans("published_workload_tables",
+                   model::paper::allWorkloadParams());
 
-    std::vector<std::string> ids;
-    for (const auto &info : workloads::workloadCatalog())
-        ids.push_back(info.id);
-    std::vector<model::WorkloadParams> fitted;
-    for (const auto &c :
-         characterizeIds(ids, sweepConfig(argc, argv), "tab6"))
-        fitted.push_back(c.model.params);
-    printMeans("fitted_on_simulator", fitted);
-    return 0;
+        std::vector<std::string> ids;
+        for (const auto &info : workloads::workloadCatalog())
+            ids.push_back(info.id);
+        std::vector<model::WorkloadParams> fitted;
+        for (const auto &c :
+             characterizeIds(ids, sweepConfig(args), "tab6"))
+            fitted.push_back(c.model.params);
+        printMeans("fitted_on_simulator", fitted);
+    });
 }

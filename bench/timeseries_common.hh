@@ -21,17 +21,15 @@ namespace memsense::bench
 
 /**
  * Run and print the time series of the given workloads. Series run
- * concurrently on @p jobs workers (each serially sampled on its own
+ * concurrently on `--jobs` workers (each serially sampled on its own
  * machine) and print in input order. With any fault-tolerance flag
- * set in @p resilience, failed captures are retried and then
- * quarantined — the surviving series still print, and the failures
- * are reported via reportFailures().
+ * set, failed captures are retried and then quarantined — the
+ * surviving series still print, and the failures are reported via
+ * reportFailures().
  */
 inline void
 runTimeSeries(const std::string &exp_id,
-              const std::vector<std::string> &ids, bool fast,
-              int jobs = 1,
-              const measure::ResilienceConfig &resilience = {})
+              const std::vector<std::string> &ids, const BenchArgs &args)
 {
     std::vector<measure::TimeSeriesConfig> cfgs;
     cfgs.reserve(ids.size());
@@ -40,17 +38,18 @@ runTimeSeries(const std::string &exp_id,
         measure::TimeSeriesConfig cfg;
         cfg.run.workloadId = id;
         cfg.run.cores = info.characterizationCores;
-        cfg.run.warmup = nsToPicos(fast ? 1'000'000.0 : 4'000'000.0);
-        cfg.run.adaptiveWarmup = !fast;
+        cfg.run.warmup = nsToPicos(args.fast ? 1'000'000.0 : 4'000'000.0);
+        cfg.run.adaptiveWarmup = !args.fast;
         cfg.interval = nsToPicos(100'000.0); // "100 ms" scaled down
-        cfg.samples = fast ? 20 : 40;
+        cfg.samples = args.fast ? 20 : 40;
         cfgs.push_back(cfg);
     }
 
     measure::PhaseTimer phase("sweep");
     measure::FailureManifest manifest;
     const std::vector<measure::TimeSeries> series =
-        measure::captureTimeSeriesBatch(cfgs, jobs, resilience, &manifest);
+        measure::captureTimeSeriesBatch(cfgs, args.jobs, args.resilience,
+                                        &manifest);
     reportFailures(exp_id, manifest, cfgs.size());
 
     // Index by the series' own workload id: with quarantined captures

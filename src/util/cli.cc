@@ -1,5 +1,8 @@
 #include "util/cli.hh"
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -45,8 +48,32 @@ CliParser::addBool(const std::string &name, const std::string &help)
 }
 
 bool
+CliParser::validValue(Kind kind, const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    if (kind == Kind::Int) {
+        const long v = std::strtol(text.c_str(), &end, 10);
+        return !text.empty() && *end == '\0' && errno == 0 &&
+               v >= INT_MIN && v <= INT_MAX;
+    }
+    if (kind == Kind::Double) {
+        const double v = std::strtod(text.c_str(), &end);
+        return !text.empty() && *end == '\0' && std::isfinite(v);
+    }
+    return true;
+}
+
+bool
 CliParser::parse(int argc, char **argv)
 {
+    // A rejected command line is never a help request, even when
+    // --help came before the error.
+    auto fail = [this](const std::string &message) {
+        std::fprintf(stderr, "%s: %s\n", program.c_str(), message.c_str());
+        flags["help"].value = "false";
+        return false;
+    };
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0) {
@@ -64,22 +91,21 @@ CliParser::parse(int argc, char **argv)
         }
         auto it = flags.find(name);
         if (it == flags.end()) {
-            std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
             printHelp();
-            return false;
+            return fail("unknown flag --" + name);
         }
         Flag &f = it->second;
         if (f.kind == Kind::Bool) {
             f.value = has_value ? value : "true";
         } else {
-            if (!has_value) {
-                if (i + 1 >= argc) {
-                    std::fprintf(stderr, "flag --%s needs a value\n",
-                                 name.c_str());
-                    return false;
-                }
+            if (!has_value && i + 1 >= argc)
+                return fail("flag --" + name + " needs a value");
+            if (!has_value)
                 value = argv[++i];
-            }
+            if (!validValue(f.kind, value))
+                return fail("flag --" + name + " needs a " +
+                            (f.kind == Kind::Int ? "whole" : "finite") +
+                            " number, got '" + value + "'");
             f.value = value;
         }
         f.set = true;

@@ -45,7 +45,9 @@ class CliParser
 
     /**
      * Parse argv. Returns false (after printing usage) on `--help` or
-     * on a malformed/unknown flag.
+     * on a malformed/unknown flag; getBool("help") tells them apart.
+     * Int values must be whole numbers in `int` range and Double
+     * values finite numbers, each consumed to the last character.
      */
     bool parse(int argc, char **argv);
 
@@ -84,6 +86,8 @@ class CliParser
     };
 
     const Flag &find(const std::string &name, Kind kind) const;
+    /** True when @p text parses, whole, as a value of @p kind. */
+    static bool validValue(Kind kind, const std::string &text);
 
     std::string program;
     std::string summary;

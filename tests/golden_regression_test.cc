@@ -14,11 +14,16 @@
  *
  * It also pins the drivers' command-line contract: the fault-tolerance
  * flags run the same single sweep path (byte-identical CSVs, fresh and
- * resumed from a checkpoint), and bad flags exit 2 before any work.
+ * resumed from a checkpoint), every bench binary's --help lists exactly
+ * its declared flags and exits 0, bad flags exit 2 before any work, and
+ * a ConfigError after the work exits 2 with one line instead of
+ * std::terminate. The tools' --help exits 0 as well.
  *
  * Driver and golden locations arrive as compile definitions from
  * tests/CMakeLists.txt: MEMSENSE_FIG03_BIN, MEMSENSE_FIG07_BIN,
- * MEMSENSE_PERF_SUITE_BIN, MEMSENSE_GOLDEN_DIR.
+ * MEMSENSE_PERF_SUITE_BIN, MEMSENSE_BENCH_DIR, MEMSENSE_BENCH_DRIVERS
+ * (comma-separated names of every bench/ driver), MEMSENSE_TOOLS_DIR,
+ * MEMSENSE_GOLDEN_DIR.
  */
 
 #include <gtest/gtest.h>
@@ -159,6 +164,77 @@ listDir(const std::string &dir)
         names.push_back(e.path().filename().string());
     std::sort(names.begin(), names.end());
     return names;
+}
+
+/** The whole text of @p path ("" when it cannot be read). */
+std::string
+readText(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/** Number of lines in @p text. */
+long
+lineCount(const std::string &text)
+{
+    return std::count(text.begin(), text.end(), '\n');
+}
+
+/** The flag names a CliParser `--help` text lists, sorted. */
+std::vector<std::string>
+helpFlags(const std::string &help)
+{
+    std::vector<std::string> names;
+    std::stringstream lines(help);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.rfind("  --", 0) == 0)
+            names.push_back(line.substr(4, line.find(' ', 4) - 4));
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+/** Every bench/ driver (the paper drivers and perf_suite). */
+std::vector<std::string>
+benchDrivers()
+{
+    std::vector<std::string> names;
+    std::stringstream list(MEMSENSE_BENCH_DRIVERS);
+    std::string name;
+    while (std::getline(list, name, ','))
+        names.push_back(name);
+    return names;
+}
+
+/** The flags @p driver declares: the common set plus its own. */
+std::vector<std::string>
+expectedFlags(const std::string &driver)
+{
+    std::vector<std::string> flags = {"debug", "help", "quiet"};
+    if (driver == "perf_suite") {
+        flags.insert(flags.end(),
+                     {"benchmark-filter", "bin-dir", "carry-baseline",
+                      "jobs-list", "out", "repeats", "skip-microbench"});
+    } else {
+        flags.insert(flags.end(),
+                     {"checkpoint", "fast", "job-timeout-ms", "jobs",
+                      "max-retries", "metrics", "out-dir", "trace"});
+    }
+    if (driver == "fig06_classification")
+        flags.push_back("paper");
+    for (const char *model :
+         {"fig08_bw_sensitivity", "fig09_bw_derivative",
+          "fig10_latency_sensitivity", "fig11_latency_derivative",
+          "tab7_design_tradeoffs"}) {
+        if (driver == model)
+            flags.push_back("measured");
+    }
+    std::sort(flags.begin(), flags.end());
+    return flags;
 }
 
 /** Raw bytes of every CSV in @p dir, keyed by file name. */
@@ -324,12 +400,121 @@ TEST(GoldenRegression, PerfSuiteHelpAndUnknownFlagsWriteNothing)
               2);
     EXPECT_EQ(exitCode(run + " --repeats > " + logs + "/novalue.log 2>&1"),
               2);
+    // A bad --jobs-list entry is caught before the scratch directory
+    // under /tmp is created, so it leaves no directory behind.
+    auto scratchDirs = [] {
+        std::vector<std::string> names;
+        for (const auto &e : std::filesystem::directory_iterator("/tmp")) {
+            const std::string name = e.path().filename().string();
+            if (name.rfind("memsense_perf_", 0) == 0)
+                names.push_back(name);
+        }
+        std::sort(names.begin(), names.end());
+        return names;
+    };
+    const std::vector<std::string> before = scratchDirs();
+    for (const char *list : {"0", "1,x"}) {
+        EXPECT_EQ(exitCode(run + " --jobs-list " + list + " > " + logs +
+                           "/jobs_list.log 2>&1"),
+                  2)
+            << list;
+    }
+    EXPECT_EQ(scratchDirs(), before);
     EXPECT_TRUE(listDir(dir).empty())
         << "--help and flag errors must not run the suite";
     std::ifstream help(logs + "/help.log");
     std::ostringstream text;
     text << help.rdbuf();
     EXPECT_NE(text.str().find("--repeats"), std::string::npos) << text.str();
+}
+
+TEST(GoldenRegression, EveryDriverRejectsBadCommandLinesBeforeAnyWork)
+{
+    const std::vector<std::string> drivers = benchDrivers();
+    ASSERT_EQ(drivers.size(), 27u) << "26 paper drivers plus perf_suite";
+    const std::string cwd = freshDir("driver_cli_cwd");
+    const std::string out = freshDir("driver_cli_out");
+    const std::string logs = freshDir("driver_cli_logs");
+    for (const std::string &name : drivers) {
+        const std::string bin =
+            "cd " + cwd + " && " + MEMSENSE_BENCH_DIR + "/" + name;
+        const std::string out_dir =
+            name == "perf_suite" ? "" : " --out-dir " + out;
+        for (const char *bad :
+             {" --no-such-flag", " 4", " --jobs abc", " --jobs"}) {
+            const std::string cmd = bin + out_dir + bad + " > " + logs +
+                                    "/out.log 2> " + logs + "/err.log";
+            EXPECT_EQ(exitCode(cmd), 2) << cmd;
+            EXPECT_EQ(lineCount(readText(logs + "/err.log")), 1) << cmd;
+        }
+        const std::string help = bin + " --help > " + logs + "/help.log";
+        EXPECT_EQ(exitCode(help), 0) << help;
+        EXPECT_EQ(helpFlags(readText(logs + "/help.log")),
+                  expectedFlags(name))
+            << name;
+    }
+    EXPECT_TRUE(listDir(cwd).empty()) << "a rejected run must write nothing";
+    EXPECT_TRUE(listDir(out).empty()) << "a rejected run must write nothing";
+}
+
+TEST(GoldenRegression, MisspelledDriverFlagExitsTwo)
+{
+    const std::string logs = freshDir("misspelled_flag_logs");
+    const std::string cmd = std::string(MEMSENSE_BENCH_DIR) +
+                            "/fig06_classification --papr > " + logs +
+                            "/out.log 2>&1";
+    EXPECT_EQ(exitCode(cmd), 2) << cmd;
+    EXPECT_EQ(readText(logs + "/out.log").find("=== memsense"),
+              std::string::npos)
+        << "the driver must not start its experiment";
+}
+
+TEST(GoldenRegression, CalibrateUnknownWorkloadExitsTwoWithOneLine)
+{
+    const std::string logs = freshDir("calibrate_unknown_logs");
+    const std::string cmd = std::string(MEMSENSE_BENCH_DIR) +
+                            "/calibrate_workloads nosuch > " + logs +
+                            "/out.log 2> " + logs + "/err.log";
+    EXPECT_EQ(exitCode(cmd), 2) << cmd;
+    const std::string err = readText(logs + "/err.log");
+    EXPECT_EQ(lineCount(err), 1) << err;
+    EXPECT_NE(err.find("nosuch"), std::string::npos) << err;
+}
+
+TEST(GoldenRegression, ConfigErrorAfterTheSweepExitsTwo)
+{
+    // A directory squatting on the CSV's temp path makes the first
+    // artifact write fail after the whole sweep has run.
+    const std::string dir = freshDir("config_error_after_work");
+    const std::string logs = freshDir("config_error_after_work_logs");
+    std::filesystem::create_directory(dir + "/fig03_column_store.csv.tmp");
+    const std::string cmd = std::string(MEMSENSE_FIG03_BIN) +
+                            " --fast --quiet --out-dir " + dir + " > " +
+                            logs + "/out.log 2> " + logs + "/err.log";
+    EXPECT_EQ(exitCode(cmd), 2) << cmd;
+    const std::string err = readText(logs + "/err.log");
+    EXPECT_EQ(lineCount(err), 1) << err;
+    EXPECT_EQ(err.find("terminate called"), std::string::npos) << err;
+    EXPECT_EQ(err.rfind("fig03_cpi_fits: ", 0), 0u) << err;
+}
+
+TEST(GoldenRegression, ToolsExitZeroOnHelpAndOneOnMalformedNumbers)
+{
+    const std::string logs = freshDir("tool_cli_logs");
+    auto run = [&](const std::string &args) {
+        return exitCode(std::string(MEMSENSE_TOOLS_DIR) + "/" + args +
+                        " < /dev/null > " + logs + "/out.log 2>&1");
+    };
+    for (const char *sub :
+         {"solve", "sweep", "tradeoff", "characterize", "timeseries", "mlc",
+          "classify", "tier", "report", "trace"})
+        EXPECT_EQ(run(std::string("memsense ") + sub + " --help"), 0) << sub;
+    for (const char *tool :
+         {"memsense_eval", "memsense_serve", "memsense_loadgen"})
+        EXPECT_EQ(run(std::string(tool) + " --help"), 0) << tool;
+    // Error exits keep the codes docs/serving.md documents.
+    EXPECT_EQ(run("memsense_eval --jobs abc"), 1);
+    EXPECT_EQ(run("memsense sweep latency --ghz 2.7x"), 1);
 }
 
 } // anonymous namespace

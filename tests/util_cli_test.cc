@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "util/cli.hh"
@@ -100,6 +101,39 @@ TEST(Cli, MissingValueFails)
     CliParser cli = makeParser();
     Argv a({"--count"});
     EXPECT_FALSE(cli.parse(a.argc(), a.argv()));
+}
+
+TEST(Cli, MalformedNumbersFail)
+{
+    const std::vector<std::vector<std::string>> inputs = {
+        {"--count", "abc"},   {"--count", "4x"},
+        {"--count", "1.5"},   {"--count", "99999999999"},
+        {"--count="},         {"--ratio", "nan"},
+        {"--ratio", "1e999"}, {"--ratio", "2.7x"},
+        {"--ratio="}};
+    for (const auto &args : inputs) {
+        CliParser cli = makeParser();
+        Argv a(args);
+        EXPECT_FALSE(cli.parse(a.argc(), a.argv())) << args[0];
+        EXPECT_FALSE(cli.getBool("help")) << args[0];
+    }
+}
+
+TEST(Cli, WholeNumbersInRangeParse)
+{
+    CliParser cli = makeParser();
+    Argv a({"--count", "-2147483648", "--ratio=-1e3"});
+    ASSERT_TRUE(cli.parse(a.argc(), a.argv()));
+    EXPECT_EQ(cli.getInt("count"), -2147483647 - 1);
+    EXPECT_DOUBLE_EQ(cli.getDouble("ratio"), -1000.0);
+}
+
+TEST(Cli, ErrorAfterHelpIsNotAHelpRequest)
+{
+    CliParser cli = makeParser();
+    Argv a({"--help", "--nope"});
+    EXPECT_FALSE(cli.parse(a.argc(), a.argv()));
+    EXPECT_FALSE(cli.getBool("help"));
 }
 
 TEST(Cli, HelpShortCircuits)

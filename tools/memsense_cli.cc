@@ -124,7 +124,7 @@ cmdSolve(int argc, char **argv)
     addPlatformFlags(cli);
     addWorkloadFlags(cli);
     if (!cli.parse(argc, argv))
-        return 1;
+        return cli.getBool("help") ? 0 : 1;
     model::Platform plat = platformFrom(cli);
     model::WorkloadParams p = workloadFrom(cli);
 
@@ -159,7 +159,7 @@ cmdSweep(int argc, char **argv)
     cli.addDouble("max-extra-ns", 60.0, "latency sweep range");
     cli.addDouble("step-ns", 10.0, "latency sweep step");
     if (!cli.parse(argc, argv))
-        return 1;
+        return cli.getBool("help") ? 0 : 1;
     requireConfig(!cli.positional().empty(),
                   "sweep needs 'latency' or 'bandwidth'");
     std::string kind = cli.positional()[0];
@@ -207,7 +207,7 @@ cmdTradeoff(int argc, char **argv)
     addPlatformFlags(cli);
     addWorkloadFlags(cli);
     if (!cli.parse(argc, argv))
-        return 1;
+        return cli.getBool("help") ? 0 : 1;
     model::EquivalenceAnalyzer an{model::Solver(), platformFrom(cli)};
     model::TradeoffSummary s = an.summarize(workloadFrom(cli));
     std::cout << strformat(
@@ -231,7 +231,7 @@ cmdCharacterize(int argc, char **argv)
                "sweep worker threads (0 = hardware threads); results "
                "are identical for any value");
     if (!cli.parse(argc, argv))
-        return 1;
+        return cli.getBool("help") ? 0 : 1;
     requireConfig(!cli.positional().empty(),
                   "characterize needs a workload id (see `memsense "
                   "list`)");
@@ -263,7 +263,7 @@ cmdTimeseries(int argc, char **argv)
     cli.addInt("samples", 30, "number of intervals");
     cli.addDouble("interval-us", 100.0, "virtual interval (us)");
     if (!cli.parse(argc, argv))
-        return 1;
+        return cli.getBool("help") ? 0 : 1;
     requireConfig(!cli.positional().empty(),
                   "timeseries needs a workload id");
     const auto &info = workloads::workloadInfo(cli.positional()[0]);
@@ -297,7 +297,7 @@ cmdMlc(int argc, char **argv)
     cli.addInt("jobs", 1,
                "sweep worker threads (0 = hardware threads)");
     if (!cli.parse(argc, argv))
-        return 1;
+        return cli.getBool("help") ? 0 : 1;
     measure::LoadedLatencySetup setup;
     setup.memMtPerSec = cli.getDouble("speed");
     setup.readFraction = cli.getDouble("read-fraction");
@@ -329,7 +329,7 @@ cmdClassify(int argc, char **argv)
                "sweep worker threads (0 = hardware threads); results "
                "are identical for any value");
     if (!cli.parse(argc, argv))
-        return 1;
+        return cli.getBool("help") ? 0 : 1;
     std::vector<model::WorkloadParams> params;
     if (cli.getBool("paper")) {
         params = model::paper::allWorkloadParams();
@@ -370,7 +370,7 @@ cmdTier(int argc, char **argv)
     cli.addDouble("far-bw", 12.0, "far tier bandwidth (GB/s)");
     cli.addDouble("theta", 0.5, "locality exponent (0, 1]");
     if (!cli.parse(argc, argv))
-        return 1;
+        return cli.getBool("help") ? 0 : 1;
     model::MemoryTier near{"near", cli.getDouble("near-latency"),
                            cli.getDouble("near-bw"), 0.0};
     model::MemoryTier far{"far", cli.getDouble("far-latency"),
@@ -405,7 +405,7 @@ cmdReport(int argc, char **argv)
     addPlatformFlags(cli);
     addWorkloadFlags(cli);
     if (!cli.parse(argc, argv))
-        return 1;
+        return cli.getBool("help") ? 0 : 1;
     model::SensitivityReport r = model::buildReport(
         model::Solver(), workloadFrom(cli), platformFrom(cli));
     std::cout << r.toMarkdown();
@@ -421,7 +421,7 @@ cmdTrace(int argc, char **argv)
     cli.addInt("ops", 100000, "ops to record");
     cli.addInt("seed", 1, "generator seed");
     if (!cli.parse(argc, argv))
-        return 1;
+        return cli.getBool("help") ? 0 : 1;
     requireConfig(cli.positional().size() >= 2,
                   "trace needs a workload id and an output file");
     auto w = workloads::makeWorkload(cli.positional()[0], 0,

@@ -86,7 +86,7 @@ main(int argc, char **argv)
                   "write a metrics JSON snapshot to this file");
     cli.addBool("stats", "print the run summary to stderr");
     if (!cli.parse(argc, argv))
-        return 1;
+        return cli.getBool("help") ? 0 : 1;
 
     try {
         installSignalHandlers();

@@ -82,7 +82,7 @@ main(int argc, char **argv)
     cli.addString("report-json", "",
                   "write the JSON report here as well as stdout");
     if (!cli.parse(argc, argv))
-        return 1;
+        return cli.getBool("help") ? 0 : 1;
 
     try {
         serve::LoadgenOptions opts;

@@ -111,7 +111,7 @@ main(int argc, char **argv)
                   "write the server counter ledger here on exit");
     cli.addBool("stats", "print the counter summary to stderr on exit");
     if (!cli.parse(argc, argv))
-        return 1;
+        return cli.getBool("help") ? 0 : 1;
 
     try {
         installSignalHandlers();
