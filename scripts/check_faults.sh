@@ -5,7 +5,9 @@
 # path, which runs through the same fault-handling engine). Injected faults
 # exercise every error path, so a clean exit means the retry loops,
 # exception capture, and journal replay leak and corrupt nothing even
-# while faults are firing.
+# while faults are firing. The simulated-cache tests ride along: the
+# cache's 16-byte vector loads over padded directory lanes must stay
+# inside its slab.
 #
 # Usage: scripts/check_faults.sh [build_dir]
 set -euo pipefail
@@ -24,12 +26,13 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 cmake --build "${build_dir}" -j \
     --target util_retry_test util_fault_injection_test \
     measure_resilience_test measure_parallel_test serve_evaluator_test \
-    serve_server_test serve_loadgen_test serve_soak_test
+    serve_server_test serve_loadgen_test serve_soak_test \
+    sim_cache_test sim_cache_reference_test sim_equivalence_test
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 
 ctest --test-dir "${build_dir}" --output-on-failure \
-    -R 'Retry|FaultInjection|MeasureResilienceTest|MeasureParallelTest|EvaluatorFault|ServeServer|ServeSoak|LoadgenRun|LoadgenRequestLine'
+    -R 'Retry|FaultInjection|MeasureResilienceTest|MeasureParallelTest|EvaluatorFault|ServeServer|ServeSoak|LoadgenRun|LoadgenRequestLine|^Cache\.|CacheVsReference|CacheLanes|SimEquivalence'
 
-echo "Fault check passed: retry, injection, checkpoint, and serving" \
-     "paths are clean under ASan."
+echo "Fault check passed: retry, injection, checkpoint, serving and" \
+     "simulated-cache paths are clean under ASan."

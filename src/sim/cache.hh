@@ -8,26 +8,27 @@
  * lines still in flight (installed by a prefetch that has not yet
  * returned from memory) can charge the remaining latency.
  *
- * Way state is laid out as blocked structure-of-arrays (AoSoA): each
- * set owns one cache-line-aligned block holding its tags contiguously
- * (the array a probe scans — one line for 8 ways instead of the five
- * lines the old way-struct walk touched), followed by the set's
- * replacement/metadata arrays that only the matching or victim way
- * touches. Keeping a set's arrays adjacent inside one block means an
- * insert+evict on a DRAM-sized LLC hits four neighboring lines on one
- * page rather than five lines on five pages, which is what the
- * profile says the simulator spends most of its time doing. Validity
- * is folded into the tag array via a sentinel (kInvalidTag): real
- * line addresses are byte addresses shifted right by kLineShift and
- * the prefill dummies sit at 2^56, so no reachable line can equal ~0.
+ * Way state is split in two. A per-set directory of 64-byte lines,
+ * one line per group of 16 ways, holds three byte lanes per way: an
+ * 8-bit tag fingerprint, the replacement state (the way's exact LRU
+ * rank, 0 = most recent, or its SRRIP RRPV) and a valid/dirty/
+ * prefetched byte. A separate slot array of `{tag, fillTime}` pairs is
+ * read only to confirm a fingerprint match, to return a hit's fill
+ * time, or to evict and install a line. A probe compares 16
+ * fingerprints per SSE2 compare (cache_lanes.hh); the LRU victim is
+ * the way whose rank is ways-1; a touch ages every younger way with
+ * one vector compare-and-subtract. Ranks start at ways-1-i, which is the
+ * order the earlier timestamp design produced (untouched prefill
+ * dummies leave lowest index first), so victims and statistics are
+ * identical to a per-way `lastUse` stamp scan.
  */
 
 #ifndef MEMSENSE_SIM_CACHE_HH
 #define MEMSENSE_SIM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/config.hh"
 #include "sim/microop.hh"
@@ -89,15 +90,21 @@ class SetAssocCache
 {
   public:
     /**
-     * @param name  human-readable name for diagnostics
-     * @param cfg   geometry and replacement policy
-     * @param seed  RNG seed for the Random replacement policy
-     * @param arena optional bump allocator backing the way arrays
-     *              (must outlive the cache); heap when null
+     * @param name      human-readable name for diagnostics
+     * @param cfg       geometry and replacement policy
+     * @param seed      RNG seed for the Random replacement policy
+     * @param arena     optional bump allocator backing the way arrays
+     *                  (must outlive the cache); heap when null
+     * @param prefilled start with every way holding a distinct clean
+     *                  dummy line from a reserved address region, so
+     *                  capacity evictions (and therefore dirty
+     *                  writebacks of real lines) begin immediately
+     *                  instead of after a long cold-start window;
+     *                  each byte of the state is written once
      */
     SetAssocCache(std::string name, const CacheConfig &cfg,
                   std::uint64_t seed = 1,
-                  util::Arena *arena = nullptr);
+                  util::Arena *arena = nullptr, bool prefilled = false);
 
     /**
      * Probe for @p line_addr; updates replacement state and statistics.
@@ -114,6 +121,14 @@ class SetAssocCache
     bool contains(Addr line_addr) const;
 
     /**
+     * contains() for a line about to be fetched from outside the
+     * demand path (the prefetcher): an absent line also primes
+     * fillAfterMiss() exactly as a lookup() miss does, so
+     * probe-then-install costs one set scan instead of two.
+     */
+    bool probe(Addr line_addr);
+
+    /**
      * Install @p line_addr, evicting a victim if the set is full.
      *
      * @param line_addr line to install
@@ -128,12 +143,13 @@ class SetAssocCache
 
     /**
      * Install the line whose lookup() just missed, reusing the miss
-     * scan: the lookup recorded the set block and its first invalid
-     * way, so the fill needs no second scan (demand fills are half
-     * the set scans in the simulator's hottest loop).
+     * scan: the lookup recorded the set and its first empty way, so
+     * the fill needs no second scan (demand fills are half the set
+     * scans in the simulator's hottest loop).
      *
      * Contract: callable only when the immediately preceding
-     * operation on THIS cache was a lookup() miss for @p line_addr —
+     * operation on THIS cache was a lookup() miss (or a false
+     * probe()) for @p line_addr —
      * which is how the core's access path behaves: each level's
      * demand fill follows its miss with no intervening operation on
      * that level. Enforced with a checked invariant. Semantically
@@ -182,21 +198,27 @@ class SetAssocCache
     /** Number of currently valid lines (linear scan; tests only). */
     std::uint64_t validLineCount() const;
 
-    /**
-     * Fill every way with distinct clean dummy lines from a reserved
-     * address region, so capacity evictions (and therefore dirty
-     * writebacks of real lines) begin immediately instead of after a
-     * long cold-start window. Does not touch statistics.
-     */
-    void prefill();
-
   private:
-    /** Tag value marking an empty way (no reachable line address). */
-    static constexpr Addr kInvalidTag = ~Addr{0};
+    /** Where a way's tag and fill time live (read on match/evict). */
+    struct Slot
+    {
+        Addr tag;
+        Picos fillTime;
+    };
 
-    /** Bits of the per-way metadata byte. */
-    static constexpr std::uint8_t kDirty = 1u << 0;
-    static constexpr std::uint8_t kPrefetched = 1u << 1;
+    /** @{ Byte offsets of the lane arrays inside a directory line. */
+    static constexpr std::size_t kFpOff = 0;
+    static constexpr std::size_t kReplOff = 16;
+    static constexpr std::size_t kMetaOff = 32;
+    /** @} */
+
+    /** Bits of the per-way metadata byte; 0 means an empty way. */
+    static constexpr std::uint8_t kValid = 1u << 0;
+    static constexpr std::uint8_t kDirty = 1u << 1;
+    static constexpr std::uint8_t kPrefetched = 1u << 2;
+
+    /** Replacement byte of padding lanes: never aged, never matched. */
+    static constexpr std::uint8_t kPadRank = 0x7f;
 
     /** Set index for a line address.
      *
@@ -212,73 +234,86 @@ class SetAssocCache
         return setMask ? (line_addr & setMask) : (line_addr % numSets);
     }
 
-    /** @{ Views into one set's block of the slab (see file comment). */
-    unsigned char *setBlock(std::uint64_t s)
+    /** The 8-bit tag fingerprint a probe compares. */
+    static std::uint8_t fingerprint(Addr line_addr)
     {
-        return slab.data() + static_cast<std::size_t>(s) * setStride;
+        return static_cast<std::uint8_t>(
+            (line_addr * 0x9E3779B97F4A7C15ull) >> 56);
     }
-    const unsigned char *setBlock(std::uint64_t s) const
+
+    /** @{ One set's directory lines and slot array. */
+    std::uint8_t *dirOf(std::uint64_t s) const
     {
-        return slab.data() + static_cast<std::size_t>(s) * setStride;
+        return dir + static_cast<std::size_t>(s) * dirStride;
     }
-    static Addr *tagsOf(unsigned char *blk)
+    Slot *slotsOf(std::uint64_t s) const
     {
-        return reinterpret_cast<Addr *>(blk);
-    }
-    static const Addr *tagsOf(const unsigned char *blk)
-    {
-        return reinterpret_cast<const Addr *>(blk);
-    }
-    std::uint64_t *lastUseOf(unsigned char *blk) const
-    {
-        return reinterpret_cast<std::uint64_t *>(blk + lastUseOff);
-    }
-    Picos *fillTimesOf(unsigned char *blk) const
-    {
-        return reinterpret_cast<Picos *>(blk + fillOff);
-    }
-    std::uint8_t *metaOf(unsigned char *blk) const
-    {
-        return blk + metaOff;
-    }
-    std::uint8_t *rrpvsOf(unsigned char *blk) const
-    {
-        return blk + rrpvOff;
+        return slots + static_cast<std::size_t>(s) * cfg.ways;
     }
     /** @} */
 
-    /** Choose a victim way within @p blk; returns the way index. */
-    std::uint32_t pickVictim(unsigned char *blk);
+    /** Mask of the empty ways of @p d. */
+    std::uint64_t emptyWays(const std::uint8_t *d) const;
+
+    /**
+     * Way holding @p line_addr in set (@p d, @p sl), or ways when
+     * absent; @p empty receives the set's empty-way mask.
+     */
+    std::uint32_t find(const std::uint8_t *d, const Slot *sl,
+                       Addr line_addr, std::uint64_t &empty) const;
+
+    /** Record a miss scan for the next fillAfterMiss(). */
+    void setFillHint(std::uint8_t *d, Slot *sl, Addr line_addr,
+                     std::uint64_t empty);
+
+    /** Make way @p w the most recently used (LRU rank 0). */
+    void touch(std::uint8_t *d, std::uint32_t w);
+
+    /** Choose a victim way within the full set @p d. */
+    std::uint32_t pickVictim(std::uint8_t *d);
+
+    /**
+     * Install @p line_addr into way @p w of set (@p d, @p sl), first
+     * evicting its line when @p w == ways (the set is full: the
+     * replacement policy picks the way).
+     */
+    Victim installAt(std::uint8_t *d, Slot *sl, std::uint32_t w,
+                     Addr line_addr, bool dirty, bool prefetched,
+                     Picos fill_time);
+
+    /** Write set @p s's initial state (empty, or all dummies). */
+    void initSet(std::uint64_t s, bool prefilled);
+
+    /** The prefill dummy line of way @p w of set @p s. */
+    Addr dummyLine(std::uint64_t s, std::uint32_t w) const;
 
     std::string _name;
     CacheConfig cfg;
     std::uint64_t numSets = 0;
     /** numSets - 1 when numSets is a power of two, else 0 (use %). */
     std::uint64_t setMask = 0;
+    std::uint32_t groups = 0;   ///< directory lines per set
+    std::uint64_t waysMask = 0; ///< one bit per real (unpadded) way
 
-    // Way state, blocked per set: tags (scanned), then lastUse /
-    // fillTimes / meta / rrpvs for the matching way only. Offsets are
-    // derived from the way count in the constructor; setStride is the
-    // block size rounded up to a cache line.
+    // Directory lines of every set, then every set's slot array, in
+    // one cache-line-aligned slab.
     util::AlignedSlab slab;
-    std::size_t setStride = 0;
-    std::size_t lastUseOff = 0; ///< LRU timestamps
-    std::size_t fillOff = 0;    ///< fill timestamps
-    std::size_t metaOff = 0;    ///< kDirty | kPrefetched bytes
-    std::size_t rrpvOff = 0;    ///< SRRIP re-reference bytes
+    std::size_t dirStride = 0; ///< groups * 64
+    std::uint8_t *dir = nullptr;
+    Slot *slots = nullptr;
 
-    std::uint64_t useCounter = 0;
     Rng rng;
     CacheStats _stats;
 
-    // Fill hint recorded by a lookup() miss and consumed by the next
-    // fillAfterMiss(): the set block just scanned and its first
-    // invalid way (== ways when the set is full). Valid because the
-    // core never interleaves another operation on the same cache
-    // between a demand miss and its fill (see fillAfterMiss()).
-    unsigned char *fillHintBlk = nullptr;
+    // Fill hint recorded by a lookup() miss (or false probe()) and
+    // consumed by the next fillAfterMiss(): the set just scanned and
+    // its first empty way (== ways when the set is full). Valid
+    // because the core never interleaves another operation on the
+    // same cache between a miss and its fill (see fillAfterMiss()).
+    std::uint8_t *fillHintDir = nullptr;
+    Slot *fillHintSlots = nullptr;
     Addr fillHintLine = 0;
-    std::uint32_t fillHintSlot = 0;
+    std::uint32_t fillHintWay = 0;
 };
 
 } // namespace memsense::sim

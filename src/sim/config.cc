@@ -1,5 +1,7 @@
 #include "sim/config.hh"
 
+#include <cmath>
+
 #include "util/error.hh"
 
 namespace memsense::sim
@@ -39,6 +41,13 @@ CoreConfig::validate() const
                   "core frequency must be in (0, 10] GHz");
     requireConfig(issueWidth >= 0.25 && issueWidth <= 16.0,
                   "issue width must be in [0.25, 16]");
+    // The core keeps time in 1/16-ps fixed point, which represents
+    // one issue slot exactly only for power-of-two widths.
+    int exp = 0;
+    // memsense-lint: allow(float-equal): frexp of a power of two
+    // returns exactly 0.5 — an exact-sentinel check by design
+    requireConfig(std::frexp(issueWidth, &exp) == 0.5,
+                  "issue width must be a power of two");
     requireConfig(mshrs >= 1 && mshrs <= 128,
                   "MSHR count must be in [1, 128]");
     prefetcher.validate();

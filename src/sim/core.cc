@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "util/contract.hh"
 #include "util/error.hh"
@@ -21,35 +22,18 @@ SimCore::SimCore(int id_in, const MachineConfig &machine_cfg,
           arena),
       llc(shared_llc), mem(memctrl), pf(machine_cfg.core.prefetcher)
 {
-    issueCostPs = static_cast<double>(clk.periodPs()) /
-                  mc.core.issueWidth;
-    // Hoisted out of the per-access path: apply() charges one issue
-    // slot per load/store, and recomputing 1/width there puts an FP
-    // divide on every memory access of every sweep worker. Cached as
-    // the identical expression so timing is bit-for-bit unchanged.
-    issueCyclesPerOp = 1.0 / mc.core.issueWidth;
-    {
-        int exp = 0;
-        // memsense-lint: allow(float-equal): frexp of a power of two
-        // returns exactly 0.5 — an exact-sentinel check by design
-        issueDivExact = std::frexp(mc.core.issueWidth, &exp) == 0.5;
-    }
+    mc.core.validate();
+    // Fixed-point time (see core.hh): the width is 2^e with e in
+    // [-2, 4], so an issue slot is period * 16 / width = period <<
+    // (4 - e) ticks, exactly.
+    const Picos period = clk.periodPs();
+    cycleTicks = period << kTickShift;
+    issueTicks = period << static_cast<unsigned>(
+                     static_cast<int>(kTickShift) -
+                     std::ilogb(mc.core.issueWidth));
     robWindowPs = clk.toPicos(mc.core.robWindowCycles);
     mshrBusy.reserve(mc.core.mshrs);
     pfBusy.reserve(mc.core.prefetcher.maxOutstanding);
-}
-
-void
-SimCore::advanceCycles(double cycles)
-{
-    // A negative advance would drive carryPs below zero, and casting a
-    // negative double to the unsigned Picos type is undefined behavior.
-    MS_REQUIRE(cycles >= 0.0,
-               "cannot advance the core clock backwards: ", cycles);
-    carryPs += cycles * static_cast<double>(clk.periodPs());
-    auto whole = static_cast<Picos>(carryPs);
-    timePs += whole;
-    carryPs -= static_cast<double>(whole);
 }
 
 bool
@@ -80,32 +64,29 @@ SimCore::apply(const MicroOp &op)
     const Picos before = timePs;
     switch (op.kind) {
       case OpKind::Compute:
-        advanceCycles(issueDivExact
-                          ? static_cast<double>(op.count) * issueCyclesPerOp
-                          : static_cast<double>(op.count) /
-                                mc.core.issueWidth);
+        advanceTicks(op.count * issueTicks);
         ctrs.instructions += op.count;
         break;
       case OpKind::Bubble:
-        advanceCycles(static_cast<double>(op.count));
+        advanceTicks(op.count * cycleTicks);
         break;
       case OpKind::Idle:
-        advanceCycles(static_cast<double>(op.count));
+        advanceTicks(op.count * cycleTicks);
         break;
       case OpKind::Load:
-        advanceCycles(issueCyclesPerOp);
+        advanceTicks(issueTicks);
         ++ctrs.instructions;
         ++ctrs.loads;
         access(op, false);
         break;
       case OpKind::Store:
-        advanceCycles(issueCyclesPerOp);
+        advanceTicks(issueTicks);
         ++ctrs.instructions;
         ++ctrs.stores;
         access(op, true);
         break;
       case OpKind::NtStore:
-        advanceCycles(issueCyclesPerOp);
+        advanceTicks(issueTicks);
         ++ctrs.instructions;
         ++ctrs.ntStores;
         ++ctrs.writebacks;
@@ -122,6 +103,16 @@ SimCore::apply(const MicroOp &op)
 namespace
 {
 
+/** Drop the completed entries (time <= @p now) of a min-heap. */
+void
+popCompleted(std::vector<Picos> &heap, Picos now)
+{
+    while (!heap.empty() && heap.front() <= now) {
+        std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+        heap.pop_back();
+    }
+}
+
 } // anonymous namespace
 
 void
@@ -132,7 +123,7 @@ SimCore::waitForFill(Picos fill_time, bool dependent)
         if (fill_time > timePs) {
             ctrs.depStall += fill_time - timePs;
             timePs = fill_time;
-            carryPs = 0.0;
+            carryTicks = 0;
         }
         return;
     }
@@ -144,7 +135,7 @@ SimCore::waitForFill(Picos fill_time, bool dependent)
         Picos target = fill_time - robWindowPs;
         ctrs.robStall += target - timePs;
         timePs = target;
-        carryPs = 0.0;
+        carryTicks = 0;
     }
 }
 
@@ -166,7 +157,7 @@ SimCore::access(const MicroOp &op, bool is_write)
     LookupResult r2 = l2c.lookup(line, is_write, timePs);
     if (r2.hit) {
         if (dependent)
-            advanceCycles(mc.l2.hitLatencyCycles);
+            advanceTicks(mc.l2.hitLatencyCycles * cycleTicks);
         if (waits)
             waitForFill(r2.fillTime, dependent);
         installIntoL1(line, is_write, r2.fillTime);
@@ -176,7 +167,7 @@ SimCore::access(const MicroOp &op, bool is_write)
     LookupResult r3 = llc.lookup(line, is_write, timePs);
     if (r3.hit) {
         if (dependent)
-            advanceCycles(mc.llcPerCore.hitLatencyCycles);
+            advanceTicks(mc.llcPerCore.hitLatencyCycles * cycleTicks);
         if (waits)
             waitForFill(r3.fillTime, dependent);
         installIntoL2(line, is_write, r3.fillTime);
@@ -206,11 +197,12 @@ SimCore::fetchLine(Addr line, bool is_write, bool dependent,
     if (dependent) {
         ctrs.depStall += completion - timePs;
         timePs = completion;
-        carryPs = 0.0;
+        carryTicks = 0;
     } else {
         // Independent misses overlap through the MSHRs; reserveMshr()
         // above is the MLP throttle.
         mshrBusy.push_back(completion);
+        std::push_heap(mshrBusy.begin(), mshrBusy.end(), std::greater<>{});
     }
 
     // Train the prefetcher on demand reads only; stores rarely train
@@ -227,17 +219,11 @@ SimCore::maybePrefetch(std::uint16_t stream_id, Addr line)
     for (Addr cand : pfCandidates) {
         // Bound in-flight prefetches; drop excess candidates (real
         // prefetchers throttle under memory pressure too).
-        for (std::size_t i = 0; i < pfBusy.size();) {
-            if (pfBusy[i] <= timePs) {
-                pfBusy[i] = pfBusy.back();
-                pfBusy.pop_back();
-            } else {
-                ++i;
-            }
-        }
+        popCompleted(pfBusy, timePs);
         if (pfBusy.size() >= mc.core.prefetcher.maxOutstanding)
             break;
-        if (llc.contains(cand))
+        // One scan: an absent line primes the fill below.
+        if (llc.probe(cand))
             continue;
         ++ctrs.llcPrefetchFetches;
         const Picos completion = mem.read(cand, timePs);
@@ -246,7 +232,8 @@ SimCore::maybePrefetch(std::uint16_t stream_id, Addr line)
         // to maxOutstanding in the ctor, and the loop breaks at that
         // bound above — the push never grows
         pfBusy.push_back(completion);
-        Victim v = llc.insert(cand, false, completion, true);
+        std::push_heap(pfBusy.begin(), pfBusy.end(), std::greater<>{});
+        Victim v = llc.fillAfterMiss(cand, false, completion, true);
         if (v.valid && v.dirty) {
             mem.write(v.lineAddr, timePs);
             ++ctrs.writebacks;
@@ -302,32 +289,15 @@ SimCore::installIntoL1(Addr line, bool is_write, Picos fill_time)
 void
 SimCore::reserveMshr()
 {
-    // Reclaim completed entries (swap-erase keeps this O(n), and n is
-    // the MSHR count, which is small).
-    for (std::size_t i = 0; i < mshrBusy.size();) {
-        if (mshrBusy[i] <= timePs) {
-            mshrBusy[i] = mshrBusy.back();
-            mshrBusy.pop_back();
-        } else {
-            ++i;
-        }
-    }
+    popCompleted(mshrBusy, timePs);
     if (mshrBusy.size() < mc.core.mshrs)
         return;
 
     // All MSHRs busy: stall until the earliest completes.
-    auto earliest = std::min_element(mshrBusy.begin(), mshrBusy.end());
-    ctrs.mshrStall += *earliest - timePs;
-    timePs = *earliest;
-    carryPs = 0.0;
-    for (std::size_t i = 0; i < mshrBusy.size();) {
-        if (mshrBusy[i] <= timePs) {
-            mshrBusy[i] = mshrBusy.back();
-            mshrBusy.pop_back();
-        } else {
-            ++i;
-        }
-    }
+    ctrs.mshrStall += mshrBusy.front() - timePs;
+    timePs = mshrBusy.front();
+    carryTicks = 0;
+    popCompleted(mshrBusy, timePs);
 }
 
 } // namespace memsense::sim

@@ -146,8 +146,13 @@ class SimCore
     const Clock &clock() const { return clk; }
 
   private:
-    /** Advance local time by a (possibly fractional) cycle count. */
-    void advanceCycles(double cycles);
+    /** Advance local time by @p ticks 1/16-ps units. */
+    void advanceTicks(std::uint64_t ticks)
+    {
+        ticks += carryTicks;
+        timePs += ticks >> kTickShift;
+        carryTicks = ticks & (kTicksPerPs - 1);
+    }
 
     /** Handle one op. */
     void apply(const MicroOp &op);
@@ -203,21 +208,27 @@ class SimCore
     std::size_t opPos = 0;   ///< next unconsumed op in opRun
     std::size_t opCount = 0; ///< valid ops in opRun
 
-    Picos timePs = 0;
-    double carryPs = 0.0; ///< sub-picosecond accumulation
-    double issueCostPs;   ///< per-instruction issue time
-    double issueCyclesPerOp = 0.0; ///< 1/issueWidth, hoisted from the
-                                   ///< per-access path in apply()
     /**
-     * True when issueWidth is a power of two (the common 2/4/8
-     * configs): division by it is exact, so `count * (1/width)`
-     * is bit-identical to `count / width` and saves an FP divide on
-     * every Compute op. Non-power-of-two widths keep the divide.
+     * Local time is fixed point: whole picoseconds plus a carry in
+     * 1/16-ps ticks. Every power-of-two issue width in [0.25, 16]
+     * makes one instruction's issue cost a whole number of ticks, so
+     * the arithmetic is exact integer math (the width is validated to
+     * be a power of two).
      */
-    bool issueDivExact = false;
+    static constexpr unsigned kTickShift = 4;
+    static constexpr std::uint64_t kTicksPerPs = std::uint64_t{1}
+                                                 << kTickShift;
+    Picos timePs = 0;
+    std::uint64_t carryTicks = 0; ///< sub-picosecond remainder
+    std::uint64_t cycleTicks = 0; ///< one core cycle
+    std::uint64_t issueTicks = 0; ///< one instruction's issue slot
     Picos robWindowPs;    ///< run-ahead slack for independent loads
-    std::vector<Picos> mshrBusy; ///< outstanding miss completion times
-    std::vector<Picos> pfBusy;   ///< outstanding prefetch completions
+    /** @{ Completion times of outstanding misses and prefetches, as
+     *  min-heaps (std::greater): only the multiset of times matters,
+     *  and reclaiming pops just the entries that have completed. */
+    std::vector<Picos> mshrBusy;
+    std::vector<Picos> pfBusy;
+    /** @} */
     std::vector<Addr> pfCandidates; ///< scratch for prefetch candidates
     CoreCounters ctrs;
 };

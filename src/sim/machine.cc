@@ -96,11 +96,10 @@ scaledLlc(const MachineConfig &cfg)
 
 Machine::Machine(const MachineConfig &config)
     : cfg(config), mem(config.dram, &arena),
-      sharedLlc("llc", scaledLlc(config), config.seed * 31, &arena)
+      sharedLlc("llc", scaledLlc(config), config.seed * 31, &arena,
+                config.prefillLlc)
 {
     cfg.validate();
-    if (cfg.prefillLlc)
-        sharedLlc.prefill();
     cores.reserve(static_cast<std::size_t>(cfg.cores));
     for (int i = 0; i < cfg.cores; ++i)
         // memsense-lint: allow(no-hot-loop-alloc): construction-time

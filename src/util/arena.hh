@@ -154,7 +154,10 @@ class Arena
         static Block make(std::size_t capacity)
         {
             Block b;
-            b.data = std::make_unique<unsigned char[]>(capacity);
+            // Uninitialized: every user writes what it reads, and
+            // zeroing here would touch a multi-megabyte LLC slab once
+            // more before its owner writes it.
+            b.data = std::make_unique_for_overwrite<unsigned char[]>(capacity);
             b.capacity = capacity;
             Arena::poison(b.data.get(), capacity);
             return b;
@@ -278,9 +281,10 @@ using ArenaVector = std::vector<T, ArenaAllocator<T>>;
 
 /**
  * A cache-line-aligned raw byte buffer, arena-backed when an arena is
- * supplied and heap-backed otherwise. Used for blocked (AoSoA) layouts
- * where one buffer interleaves several element types at computed
- * offsets, which std::vector cannot express.
+ * supplied and heap-backed otherwise. Used for layouts where one
+ * buffer holds several element types at computed offsets (the cache's
+ * set directory lines followed by its slot array), which std::vector
+ * cannot express.
  */
 class AlignedSlab
 {
@@ -299,10 +303,11 @@ class AlignedSlab
 
     /**
      * Allocate @p bytes; callable exactly once. Pass @p zero = false
-     * when the caller initializes every live field itself (e.g. the
-     * cache constructor writes all tags and rrpvs): zeroing a
-     * multi-megabyte LLC slab that is about to be overwritten is a
-     * second full sweep of the buffer for nothing.
+     * when the caller writes every field before reading it (e.g. the
+     * cache constructor writes its directory, and a slot is read only
+     * after it is installed): zeroing a multi-megabyte LLC slab that
+     * is about to be overwritten is a second full sweep of the buffer
+     * for nothing.
      */
     void init(std::size_t bytes, Arena *arena, bool zero = true)
     {

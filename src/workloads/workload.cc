@@ -62,10 +62,9 @@ Workload::pushCompute(std::uint32_t instructions)
 {
     if (instructions == 0)
         return;
-    sim::MicroOp op;
+    sim::MicroOp &op = buf.emplace_back();
     op.kind = sim::OpKind::Compute;
     op.count = instructions;
-    buf.push_back(op);
 }
 
 void
@@ -73,10 +72,9 @@ Workload::pushBubble(std::uint32_t cycles)
 {
     if (cycles == 0)
         return;
-    sim::MicroOp op;
+    sim::MicroOp &op = buf.emplace_back();
     op.kind = sim::OpKind::Bubble;
     op.count = cycles;
-    buf.push_back(op);
 }
 
 void
@@ -84,40 +82,36 @@ Workload::pushIdle(std::uint32_t cycles)
 {
     if (cycles == 0)
         return;
-    sim::MicroOp op;
+    sim::MicroOp &op = buf.emplace_back();
     op.kind = sim::OpKind::Idle;
     op.count = cycles;
-    buf.push_back(op);
 }
 
 void
 Workload::pushLoad(sim::Addr addr, bool dependent, std::uint16_t stream)
 {
-    sim::MicroOp op;
+    sim::MicroOp &op = buf.emplace_back();
     op.kind = sim::OpKind::Load;
     op.addr = addr;
     op.dependent = dependent;
     op.stream = stream;
-    buf.push_back(op);
 }
 
 void
 Workload::pushStore(sim::Addr addr, std::uint16_t stream)
 {
-    sim::MicroOp op;
+    sim::MicroOp &op = buf.emplace_back();
     op.kind = sim::OpKind::Store;
     op.addr = addr;
     op.stream = stream;
-    buf.push_back(op);
 }
 
 void
 Workload::pushNtStore(sim::Addr addr)
 {
-    sim::MicroOp op;
+    sim::MicroOp &op = buf.emplace_back();
     op.kind = sim::OpKind::NtStore;
     op.addr = addr;
-    buf.push_back(op);
 }
 
 } // namespace memsense::workloads

@@ -148,8 +148,7 @@ TEST(Cache, FirstPrefetchTouchReportedOnce)
 TEST(Cache, PrefillFillsEveryWay)
 {
     CacheConfig cfg = tinyCache(4, 8);
-    SetAssocCache c("t", cfg);
-    c.prefill();
+    SetAssocCache c("t", cfg, 1, nullptr, /*prefilled=*/true);
     EXPECT_EQ(c.validLineCount(), 32u);
     // Any real insert immediately evicts (a clean dummy).
     Victim v = c.insert(0, false, 0);
@@ -159,8 +158,7 @@ TEST(Cache, PrefillFillsEveryWay)
 
 TEST(Cache, PrefillEvictedBeforeRealLines)
 {
-    SetAssocCache c("t", tinyCache());
-    c.prefill();
+    SetAssocCache c("t", tinyCache(), 1, nullptr, /*prefilled=*/true);
     c.insert(0, false, 0); // evicts a dummy
     Victim v = c.insert(4, false, 0); // evicts the other dummy, not 0
     EXPECT_TRUE(v.valid);

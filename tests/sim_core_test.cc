@@ -12,6 +12,7 @@
 #include "sim/cache.hh"
 #include "sim/core.hh"
 #include "sim/memctrl.hh"
+#include "util/error.hh"
 
 namespace memsense::sim
 {
@@ -257,6 +258,42 @@ TEST_F(CoreTest, StreamEndReported)
     core.bind(stream);
     EXPECT_FALSE(core.runUntil(core.now() + nsToPicos(1000.0)));
     EXPECT_TRUE(core.done());
+}
+
+TEST(CoreTime, SubPicosecondIssueSlotsAccumulateExactly)
+{
+    // 16-wide at 1 GHz: an issue slot is 62.5 ps. Whole picoseconds
+    // advance and the half is carried, never rounded away.
+    MachineConfig mc;
+    mc.cores = 1;
+    mc.core.ghz = 1.0;
+    mc.core.issueWidth = 16.0;
+    mc.core.prefetcher.enabled = false;
+    MemoryController mem(mc.dram);
+    SetAssocCache llc("llc", mc.llcPerCore, 1);
+    SimCore core(0, mc, llc, mem);
+    VectorStream stream(std::vector<MicroOp>(16, compute(1)));
+    core.bind(stream);
+    EXPECT_TRUE(core.runUntil(150));
+    EXPECT_EQ(core.now(), 187u); // three slots: 187.5 ps
+    EXPECT_FALSE(core.runUntil(1'000'000));
+    EXPECT_EQ(core.now(), 1'000u); // sixteen slots: one cycle
+    EXPECT_EQ(core.counters().instructions, 16u);
+}
+
+TEST(CoreTime, IssueWidthMustBeAPowerOfTwo)
+{
+    // Fixed-point core time represents an issue slot exactly only for
+    // power-of-two widths, so other widths are a config error.
+    CoreConfig c;
+    for (double w : {0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0}) {
+        c.issueWidth = w;
+        EXPECT_NO_THROW(c.validate()) << w;
+    }
+    for (double w : {3.0, 1.5, 6.0, 0.3}) {
+        c.issueWidth = w;
+        EXPECT_THROW(c.validate(), ConfigError) << w;
+    }
 }
 
 } // anonymous namespace
